@@ -1,0 +1,8 @@
+"""``python -m truncperm``: the same front end as the ``truncperm`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,6 +27,7 @@ from .exact import (
     VIA_R_LESS,
     exact_advantage,
     mc_advantage_sharded,
+    profile_budget,
 )
 from .game import (
     Rule,
@@ -36,7 +37,12 @@ from .game import (
     play_game_sharded,
     rule_advantage_exact,
 )
-from .moments import moments_brute, moments_closed_form, moments_empirical
+from .moments import (
+    PreconditionError,
+    moments_brute,
+    moments_closed_form,
+    moments_empirical,
+)
 from .stream import (
     BalanceResult,
     StreamConfig,
@@ -145,8 +151,14 @@ def cmd_exact(args):
         t0 = time.perf_counter()
         row = {"n": n, "m": m, "q": q, **_provenance(args)}
         try:
-            greater = exact_advantage(Params(n, m, q), VIA_R_GREATER)
-            less = exact_advantage(Params(n, m, q), VIA_R_LESS)
+            p = Params(n, m, q)
+            # price both sums before running either, so a refused cell
+            # enumerates nothing; the greater side first, as its count is the
+            # one a refusal of both sides reports
+            for identity in (VIA_R_GREATER, VIA_R_LESS):
+                profile_budget(p, identity)
+            greater = exact_advantage(p, VIA_R_GREATER)
+            less = exact_advantage(p, VIA_R_LESS)
             upper = bound_report(n, m, q).combined_upper
             dual_ok = greater.value == less.value
             dominated = greater.value <= upper
@@ -337,6 +349,9 @@ def cmd_lemmas(args):
             }
         )
         ok &= res.passed
+        if not res.passed:
+            why = res.detail or f"worst slack {res.worst_slack}"
+            print(f"lemmas: {res.name} failed: {why}", file=sys.stderr)
     return rows, ok
 
 
@@ -445,7 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    rows, ok = args.fn(args)
+    try:
+        rows, ok = args.fn(args)
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _emit(rows, args)
     return 0 if ok else 1
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
-from typing import Iterator
+from math import comb, factorial, perm
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,7 +45,11 @@ class ProfileWeight:
 
     profile: CountProfile
     transcript_count: int
-    probability: Fraction
+    num_transcripts: int  # num_replies**q: every transcript of the cell
+
+    @property
+    def probability(self) -> Fraction:
+        return Fraction(self.transcript_count, self.num_transcripts)
 
 
 @dataclass(frozen=True)
@@ -64,27 +68,39 @@ class MonteCarloEstimate:
 
 def _partitions(total: int, max_part: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     """Partitions of `total` into at most `max_parts` parts, each <= max_part,
-    in descending-part lexicographic order ({4}, {3,1}, {2,2}, ...)."""
+    in descending-part lexicographic order ({4}, {3,1}, {2,2}, ...).
+
+    A subtree whose parts cannot reach `total` is not entered."""
     if total == 0:
         yield ()
-        return
-    if max_parts <= 0 or max_part <= 0:
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first, max_parts - 1):
-            yield (first, *rest)
+    elif total <= max_part * max_parts:
+        for first in range(min(total, max_part), 0, -1):
+            for rest in _partitions(total - first, first, max_parts - 1):
+                yield (first, *rest)
 
 
-@lru_cache(maxsize=None)
 def count_partitions(total: int, max_part: int, max_parts: int) -> int:
-    if total == 0:
-        return 1
-    if max_parts <= 0 or max_part <= 0:
+    """Number of partitions of `total` into at most `max_parts` parts, each <=
+    max_part, without listing them.
+
+    It is the coefficient of x**total in the Gaussian binomial
+    [M + k choose k]_x = prod_{i=1..k} (1 - x**(M+i)) / (1 - x**i), with
+    M = max_part and k = max_parts.  Both are capped at `total`, and as the
+    binomial is symmetric in them the smaller one sets the number of factors;
+    each factor is applied to a power series truncated at degree `total`.
+    """
+    if total <= 0 or max_part <= 0 or max_parts <= 0:
+        return int(total == 0)
+    k, big = sorted((min(max_part, total), min(max_parts, total)))
+    if total > k * big:
         return 0
-    return sum(
-        count_partitions(total - first, first, max_parts - 1)
-        for first in range(min(total, max_part), 0, -1)
-    )
+    coeffs = [1] + [0] * total
+    for i in range(1, k + 1):
+        shift = big + i  # times (1 - x**shift)
+        coeffs[shift:] = map(operator.sub, coeffs[shift:], coeffs[: total + 1 - shift])
+        for j in range(i, total + 1):  # divided by (1 - x**i)
+            coeffs[j] += coeffs[j - i]
+    return coeffs[total]
 
 
 def transcript_count(parts: tuple[int, ...], params: Params) -> int:
@@ -93,7 +109,7 @@ def transcript_count(parts: tuple[int, ...], params: Params) -> int:
     b = params.num_replies
     k = len(parts)
     mult = Counter(parts)
-    placements = factorial(b) // factorial(b - k)
+    placements = perm(b, k)
     for c in mult.values():
         placements //= factorial(c)
     orderings = factorial(params.q)
@@ -116,8 +132,63 @@ def enumerate_profiles(
         max_part = params.q
     denom = params.num_replies**params.q
     for parts in _partitions(params.q, max_part, params.num_replies):
-        count = transcript_count(parts, params)
-        yield ProfileWeight(CountProfile(parts), count, Fraction(count, denom))
+        yield ProfileWeight(CountProfile(parts), transcript_count(parts, params), denom)
+
+
+def advantage_sum(
+    params: Params,
+    accept: Callable[[CountProfile, int], bool],
+    max_part: int | None = None,
+) -> Fraction:
+    """Sum of probability * (R - 1) over the count profiles `accept` takes.
+
+    With b = 2**(n-m), (x)_d the falling factorial and p = count / b**q a
+    profile's uniform-oracle weight, R = b**q * prod_d (2**m)_d / (2**n)_q.
+    Each profile therefore adds the integer count * excess, where
+    excess = b**q * prod_d (2**m)_d - (2**n)_q has the sign of R - 1, over the
+    common denominator b**q * (2**n)_q; a single Fraction is built at the end.
+    `accept(profile, excess)` decides from the profile and that sign.
+    Profiles are those of `enumerate_profiles(params, max_part)`.
+    """
+    q = params.q
+    cap = params.bucket_capacity
+    falling = [1] * (q + 1)  # (2**m)_d; 0 from d = 2**m + 1 on
+    for d in range(1, q + 1):
+        falling[d] = falling[d - 1] * (cap - d + 1)
+    uniform = perm(params.domain_size, q)
+    scale = params.num_replies**q
+    total = 0
+    for pw in enumerate_profiles(params, max_part=max_part):
+        excess = scale * math.prod(falling[d] for d in pw.profile.parts) - uniform
+        if accept(pw.profile, excess):
+            total += pw.transcript_count * excess
+    return Fraction(total, scale * uniform)
+
+
+def _max_part(params: Params, identity: str) -> int:
+    """Largest count the identity's sum visits: the greater-side sum only
+    needs profiles within capacity (everything else has ratio 0)."""
+    if identity == VIA_R_GREATER:
+        return min(params.q, params.bucket_capacity)
+    if identity == VIA_R_LESS:
+        return params.q
+    raise ValueError(f"unknown identity {identity!r}")
+
+
+def profile_budget(
+    params: Params,
+    identity: str = VIA_R_GREATER,
+    profile_ceiling: int = DEFAULT_PROFILE_CEILING,
+) -> int:
+    """Number of profiles `exact_advantage` sums for this identity, counted in
+    closed form; raises EnumerationLimitError when it exceeds the ceiling."""
+    estimated = count_partitions(params.q, _max_part(params, identity), params.num_replies)
+    if estimated > profile_ceiling:
+        raise EnumerationLimitError(
+            f"{estimated} profiles exceed ceiling {profile_ceiling}; "
+            "use mc_advantage for an estimate"
+        )
+    return estimated
 
 
 def exact_advantage(
@@ -129,32 +200,17 @@ def exact_advantage(
 
     `identity` selects which of the two equivalent expectations is summed:
     E max{R-1, 0} (VIA_R_GREATER) or E max{1-R, 0} (VIA_R_LESS); the results
-    are equal.  The greater-side sum only needs profiles within capacity
-    (everything else has ratio 0), which keeps e.g. the m=0 birthday case
-    feasible for large q.
+    are equal.  The greater-side sum only needs profiles within capacity,
+    which keeps e.g. the m=0 birthday case feasible for large q.  The cell is
+    refused before any enumeration when its profile count exceeds the ceiling.
     """
-    if identity not in (VIA_R_GREATER, VIA_R_LESS):
-        raise ValueError(f"unknown identity {identity!r}")
-    cap = params.bucket_capacity
-    max_part = min(params.q, cap) if identity == VIA_R_GREATER else params.q
-    estimated = count_partitions(params.q, max_part, params.num_replies)
-    if estimated > profile_ceiling:
-        raise EnumerationLimitError(
-            f"{estimated} profiles exceed ceiling {profile_ceiling}; "
-            "use mc_advantage for an estimate"
-        )
-    total = Fraction(0)
-    seen = 0
-    for pw in enumerate_profiles(params, max_part=max_part):
-        seen += 1
-        ratio = likelihood_ratio(pw.profile, params)
-        if identity == VIA_R_GREATER:
-            if ratio > 1:
-                total += pw.probability * (ratio - 1)
-        else:
-            if ratio < 1:
-                total += pw.probability * (1 - ratio)
-    return AdvantageResult(total, identity, seen)
+    profiles = profile_budget(params, identity, profile_ceiling)
+    max_part = _max_part(params, identity)
+    if identity == VIA_R_GREATER:
+        value = advantage_sum(params, lambda _, excess: excess > 0, max_part)
+    else:
+        value = -advantage_sum(params, lambda _, excess: excess < 0, max_part)
+    return AdvantageResult(value, identity, profiles)
 
 
 def brute_force_advantage(

@@ -31,8 +31,8 @@ from .core import (
 from .exact import (
     DEFAULT_PROFILE_CEILING,
     EnumerationLimitError,
+    advantage_sum,
     count_partitions,
-    enumerate_profiles,
 )
 
 LIKELIHOOD_GREATER = "likelihood_greater_than_one"
@@ -80,14 +80,19 @@ def collision_rule_threshold(params: Params) -> float:
     )
 
 
+def _acceptance(rule: Rule, params: Params):
+    """The rule as a predicate on (profile, excess), where excess is any number
+    with the sign of R - 1 (see `advantage_sum`)."""
+    if rule.kind == COLLISION_THRESHOLD:
+        return lambda profile, _: collision_excess_of_profile(profile, params) > rule.threshold
+    if rule.kind == LIKELIHOOD_GREATER:
+        return lambda _, excess: excess > 0
+    return lambda _, excess: excess < 0
+
+
 def accepts_profile(rule: Rule, profile, params: Params) -> bool:
     """Exact-arithmetic acceptance decision for a count profile."""
-    if rule.kind == COLLISION_THRESHOLD:
-        return collision_excess_of_profile(profile, params) > rule.threshold
-    ratio = likelihood_ratio(profile, params)
-    if rule.kind == LIKELIHOOD_GREATER:
-        return ratio > 1
-    return ratio < 1
+    return _acceptance(rule, params)(profile, likelihood_ratio(profile, params) - 1)
 
 
 def rule_advantage_exact(
@@ -100,11 +105,7 @@ def rule_advantage_exact(
         raise EnumerationLimitError(
             f"{estimated} profiles exceed ceiling {profile_ceiling}"
         )
-    total = Fraction(0)
-    for pw in enumerate_profiles(params):
-        if accepts_profile(rule, pw.profile, params):
-            total += (likelihood_ratio(pw.profile, params) - 1) * pw.probability
-    return abs(total)
+    return abs(advantage_sum(params, _acceptance(rule, params)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +32,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["exact"])
 
+    def test_runs_as_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "truncperm", "exact", "--n", "2", "--m", "1", "--q", "3"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert parse_csv(proc.stdout)[0]["advantage_exact"] == "1/4"
+
 
 class TestExactCommand:
     def test_values(self, capsys):
@@ -54,6 +64,17 @@ class TestExactCommand:
         rows = parse_csv(out)
         assert rows[0]["status"] == "refused"
         assert "ceiling" in rows[0]["reason"]
+        assert code == 0
+
+    def test_refusal_reason_counts_the_first_refused_side(self, capsys):
+        # both sums are over the ceiling; the greater side is priced first
+        code, out = run_cli(capsys, "exact", "--n", "9", "--m", "4", "--q", "200")
+        row = parse_csv(out)[0]
+        assert row["status"] == "refused"
+        assert row["reason"] == (
+            "ceiling: 9422517658 profiles exceed ceiling 1000000; "
+            "use mc_advantage for an estimate"
+        )
         assert code == 0
 
 
@@ -122,7 +143,8 @@ class TestGameCommand:
 
 class TestLemmasCommand:
     def test_reports_known_failure_and_exits_nonzero(self, capsys):
-        code, out = run_cli(capsys, "lemmas", "--trials", "100000")
+        code = main(["lemmas", "--trials", "100000"])
+        out, err = capsys.readouterr()
         rows = parse_csv(out)
         status = {r["check"]: r["passed"] for r in rows}
         assert status["likelihood_exponential_bound"] == "False"
@@ -130,6 +152,17 @@ class TestLemmasCommand:
         assert code == 1  # honest: one stated inequality is false as printed
         others = [v for k, v in status.items() if k != "likelihood_exponential_bound"]
         assert all(v == "True" for v in others)
+        # the failing check names its worst witness on stderr, and only it
+        assert err.startswith("lemmas: likelihood_exponential_bound failed: worst witness "
+                              "(n, m, q) = (4, 1, 16), profile (2, 2, 2, 2, 2, 2, 2, 2)")
+        assert err.count("failed") == 1 and err.endswith("\n")
+
+    def test_too_few_trials_is_a_clean_error(self, capsys):
+        code = main(["lemmas", "--trials", "1000"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: trials must be >= 1e5 to resolve 1/400\n"
 
 
 class TestStreamCommand:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -21,6 +22,19 @@ from truncperm.exact import (
 from truncperm.core import CountProfile
 
 
+@lru_cache(maxsize=None)
+def count_partitions_recursive(total, max_part, max_parts):
+    """The memoised recursion `count_partitions` replaced, kept as reference."""
+    if total == 0:
+        return 1
+    if max_parts <= 0 or max_part <= 0:
+        return 0
+    return sum(
+        count_partitions_recursive(total - first, first, max_parts - 1)
+        for first in range(min(total, max_part), 0, -1)
+    )
+
+
 class TestPartitions:
     def test_order_and_content(self):
         got = list(_partitions(4, 4, 4))
@@ -37,6 +51,17 @@ class TestPartitions:
                     assert count_partitions(total, max_part, max_parts) == sum(
                         1 for _ in _partitions(total, max_part, max_parts)
                     )
+
+    def test_closed_form_matches_recursion(self):
+        for total in range(31):
+            for max_part in range(31):
+                for max_parts in range(31):
+                    assert count_partitions(total, max_part, max_parts) == (
+                        count_partitions_recursive(total, max_part, max_parts)
+                    ), (total, max_part, max_parts)
+
+    def test_unrestricted_partition_number(self):
+        assert count_partitions(128, 128, 128) == 4351078600  # p(128)
 
 
 class TestEnumerateProfiles:
@@ -119,6 +144,22 @@ class TestExactAdvantage:
     def test_rejects_unknown_identity(self):
         with pytest.raises(ValueError):
             exact_advantage(Params(2, 1, 2), "via_typo")
+
+    def test_full_domain_single_profile_is_immediate(self):
+        # (8, 4, 256): one in-capacity profile, (16,) * 16
+        res = exact_advantage(Params(8, 4, 256))
+        assert res.profiles_enumerated == 1
+
+    def test_integer_kernel_matches_fraction_reference(self, small_cell_ratios):
+        for p, profiles in small_cell_ratios:
+            greater = less = Fraction(0)
+            for pw, ratio in profiles:
+                if ratio > 1:
+                    greater += pw.probability * (ratio - 1)
+                elif ratio < 1:
+                    less += pw.probability * (1 - ratio)
+            assert exact_advantage(p, VIA_R_GREATER).value == greater, p
+            assert exact_advantage(p, VIA_R_LESS).value == less, p
 
 
 class TestBruteForce:

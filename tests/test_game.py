@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from truncperm.core import CountProfile, Params, make_rng
+from truncperm.core import CountProfile, Params, collision_excess_of_profile, make_rng
 from truncperm.exact import EnumerationLimitError, exact_advantage
 from truncperm.game import (
     COLLISION_THRESHOLD,
@@ -88,6 +88,24 @@ class TestRuleAdvantageExact:
     def test_ceiling(self):
         with pytest.raises(EnumerationLimitError):
             rule_advantage_exact(Params(8, 4, 200), optimal_rule(), profile_ceiling=5)
+
+    def test_huge_cell_refused_immediately(self):
+        # the profile count is p(4096) restricted to 256 parts, about 5e66
+        with pytest.raises(EnumerationLimitError):
+            rule_advantage_exact(Params(16, 8, 4096), optimal_rule())
+
+    def test_integer_kernel_matches_fraction_reference(self, small_cell_ratios):
+        for p, profiles in small_cell_ratios:
+            rules = {optimal_rule(): lambda r, x: r > 1,
+                     optimal_rule("less"): lambda r, x: r < 1}
+            if p.q >= 2:
+                cut = collision_rule_threshold(p)
+                rules[Rule(COLLISION_THRESHOLD, cut)] = lambda r, x, cut=cut: x > cut
+            terms = [(pw.probability * (r - 1), r, collision_excess_of_profile(pw.profile, p))
+                     for pw, r in profiles]
+            for rule, accepts in rules.items():
+                expected = abs(sum((w for w, r, x in terms if accepts(r, x)), Fraction(0)))
+                assert rule_advantage_exact(p, rule) == expected, (p, rule)
 
 
 class TestPlayGame:
