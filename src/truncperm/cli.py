@@ -45,10 +45,10 @@ from .moments import (
 )
 from .stream import (
     BalanceResult,
+    ExplicitPermutation,
+    FeistelPermutation,
     StreamConfig,
     balance_check,
-    demo_permutation,
-    explicit_permutation,
     generate_stream,
     throughput_bench,
     write_metadata,
@@ -357,8 +357,8 @@ def cmd_lemmas(args):
 
 def _build_perm(args, n: int):
     if args.perm == "explicit":
-        return explicit_permutation(n, args.seed)
-    return demo_permutation(n, args.seed.to_bytes(8, "little", signed=True))
+        return ExplicitPermutation(n, args.seed)
+    return FeistelPermutation(n, args.seed.to_bytes(8, "little", signed=True))
 
 
 def cmd_stream(args):

@@ -6,6 +6,11 @@ within each byte) or padded to byte boundaries.  Two permutation backends are
 provided: a tabulated uniformly random permutation for small n, and a keyed
 Feistel network as a large-n throughput stand-in (bijective by construction,
 but NOT a uniform permutation -- demo only).
+
+Both backends are evaluated BLOCK counters at a time with numpy: an output is
+a list of MSB-first (uint64 array, bit width) words, so no numpy value is
+wider than 64 bits even at n = 128.  Any other callable ``perm(x) -> int`` is
+called once per counter and goes through the same packer.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import stam_upper_simplified
+
+# Counters evaluated and packed per block.  A multiple of 8, so a full block
+# of bit-packed symbols ends on a byte boundary whatever the symbol width.
+BLOCK = 1 << 16
+
+_WORD = (1 << 64) - 1
 
 
 def truncate(y: int, n: int, m: int) -> int:
@@ -45,10 +56,14 @@ class ExplicitPermutation:
             raise ValueError("explicit permutation supports 1 <= n <= 20")
         self.n = n
         self.seed = seed
-        self.table = np.random.default_rng(seed).permutation(1 << n).astype(np.int64)
+        self.table = np.random.default_rng(seed).permutation(1 << n)
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
+
+    def outputs(self, lo: int, hi: int) -> list[tuple[np.ndarray, int]]:
+        """Outputs for the counters lo, ..., hi-1 as one n-bit word."""
+        return [(self.table[lo:hi], self.n)]
 
 
 class FeistelPermutation:
@@ -86,6 +101,27 @@ class FeistelPermutation:
             left, right = right, left ^ self._round(r, right)
         return (left << self._half) | right
 
+    def outputs(self, lo: int, hi: int) -> list[tuple[np.ndarray, int]]:
+        """Outputs for the counters lo, ..., hi-1 as the left and right
+        halves, each a uint64 array of n/2-bit words.
+
+        Each round hashes every distinct right half of the block once.
+        """
+        half = self._half
+        i = np.arange(hi - lo, dtype=np.uint64)
+        low = np.uint64(lo & _WORD) + i  # low 64 bits of each counter; wraps
+        high = np.uint64(lo >> 64) + (low < i)  # the bits above, plus the carry
+        # two shifts, because a shift by 64 (half = 64) is undefined
+        left = ((low >> 1) >> (half - 1)) | (high << (64 - half))
+        right = low & np.uint64(self._mask)
+        for r in range(self.rounds):
+            values, inverse = np.unique(right, return_inverse=True)
+            hashed = np.fromiter(
+                (self._round(r, v) for v in values.tolist()), np.uint64, len(values)
+            )
+            left, right = right, left ^ hashed[inverse]
+        return [(left, half), (right, half)]
+
     def inverse(self, y: int) -> int:
         left, right = y >> self._half, y & self._mask
         for r in reversed(range(self.rounds)):
@@ -93,12 +129,49 @@ class FeistelPermutation:
         return (left << self._half) | right
 
 
-def explicit_permutation(n: int, seed: int) -> ExplicitPermutation:
-    return ExplicitPermutation(n, seed)
+def _call_each(perm, n: int, lo: int, hi: int) -> list[tuple[np.ndarray, int]]:
+    """Outputs of a permutation with no batch evaluation: one call per counter,
+    split into 64-bit words."""
+    # truncating by 0 bits keeps the value and rejects an out-of-range output
+    values = [int(truncate(perm(ctr), n, 0)) for ctr in range(lo, hi)]
+    return [
+        (
+            np.fromiter(((y >> shift) & _WORD for y in values), np.uint64, hi - lo),
+            min(64, n - shift),
+        )
+        for shift in range(64 * ((n - 1) // 64), -1, -64)
+    ]
 
 
-def demo_permutation(n: int, key: bytes) -> FeistelPermutation:
-    return FeistelPermutation(n, key)
+def _blocks(perm, n: int, start: int, stop: int):
+    """Yield the outputs for counters start, ..., stop-1, BLOCK at a time."""
+    if getattr(perm, "n", n) != n:
+        raise ValueError(f"permutation width {perm.n} does not match n = {n}")
+    batch = getattr(perm, "outputs", None)
+    for lo in range(start, stop, BLOCK):
+        hi = min(lo + BLOCK, stop)
+        yield batch(lo, hi) if batch is not None else _call_each(perm, n, lo, hi)
+
+
+def _bit_matrix(words, n: int, m: int, lead: int = 0) -> np.ndarray:
+    """One row per output: `lead` zero bits, then the top n-m bits of the
+    output MSB-first, as a uint8 matrix of 0/1.  `words` is an output block
+    split MSB-first into (uint64 array, bit width) words."""
+    count = len(words[0][0])
+    bits = np.zeros((count, lead + n - m), dtype=np.uint8)
+    col = lead  # next column to fill
+    low = n  # lowest bit position of the words seen so far
+    for arr, width in words:
+        low -= width  # now the lowest bit position of this word
+        keep = width - max(0, m - low)  # the word's bits at or above bit m
+        if keep <= 0:
+            continue
+        top = 64 - width  # column of the word's top bit among its 64
+        raw = arr.astype(">u8").view(np.uint8).reshape(count, 8)
+        raw = np.unpackbits(raw[:, top // 8 : (top + keep + 7) // 8], axis=1)
+        bits[:, col : col + keep] = raw[:, top % 8 : top % 8 + keep]
+        col += keep
+    return bits
 
 
 @dataclass(frozen=True)
@@ -131,38 +204,16 @@ def generate_stream(perm, cfg: StreamConfig, sink) -> int:
     (final byte zero-padded on the right); byte-aligned mode zero-pads each
     symbol to whole bytes, big-endian.  Returns the number of bytes written.
     """
-    if getattr(perm, "n", cfg.n) != cfg.n:
-        raise ValueError("permutation width does not match the stream config")
     width = cfg.symbol_bits
+    lead = -width % 8 if cfg.packing == "byte" else 0
     written = 0
-    buf = bytearray()
-    if cfg.packing == "byte":
-        sym_bytes = (width + 7) // 8
-        for ctr in range(cfg.start_counter, cfg.start_counter + cfg.count):
-            buf += truncate(perm(ctr), cfg.n, cfg.m).to_bytes(sym_bytes, "big")
-            if len(buf) >= 1 << 16:
-                sink.write(bytes(buf))
-                written += len(buf)
-                buf.clear()
-    else:
-        acc = 0
-        nbits = 0
-        for ctr in range(cfg.start_counter, cfg.start_counter + cfg.count):
-            acc = (acc << width) | truncate(perm(ctr), cfg.n, cfg.m)
-            nbits += width
-            while nbits >= 8:
-                nbits -= 8
-                buf.append((acc >> nbits) & 0xFF)
-            acc &= (1 << nbits) - 1
-            if len(buf) >= 1 << 16:
-                sink.write(bytes(buf))
-                written += len(buf)
-                buf.clear()
-        if nbits:
-            buf.append((acc << (8 - nbits)) & 0xFF)
-    if buf:
-        sink.write(bytes(buf))
-        written += len(buf)
+    stop = cfg.start_counter + cfg.count
+    for words in _blocks(perm, cfg.n, cfg.start_counter, stop):
+        # byte rows are whole bytes, so packing the flattened matrix packs
+        # each symbol on its own; bit rows run on across bytes
+        chunk = np.packbits(_bit_matrix(words, cfg.n, cfg.m, lead)).tobytes()
+        sink.write(chunk)
+        written += len(chunk)
     return written
 
 
@@ -170,18 +221,15 @@ def unpack_symbols(data: bytes, cfg: StreamConfig) -> list[int]:
     """Recover the symbol sequence from a generated stream (round-trip of the
     packing contract)."""
     width = cfg.symbol_bits
-    out = []
-    if cfg.packing == "byte":
-        sym_bytes = (width + 7) // 8
-        for i in range(cfg.count):
-            out.append(int.from_bytes(data[i * sym_bytes : (i + 1) * sym_bytes], "big"))
-        return out
-    big = int.from_bytes(data, "big")
-    total_bits = len(data) * 8
-    for i in range(cfg.count):
-        shift = total_bits - (i + 1) * width
-        out.append((big >> shift) & ((1 << width) - 1))
-    return out
+    row = width if cfg.packing == "bit" else 8 * ((width + 7) // 8)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=cfg.count * row)
+    padded = np.zeros((cfg.count, 64 * ((row + 63) // 64)), dtype=np.uint8)
+    padded[:, padded.shape[1] - row :] = bits.reshape(cfg.count, row)
+    words = np.packbits(padded, axis=1).view(">u8")  # big-endian 64-bit words
+    values = words[:, 0].astype(object)
+    for j in range(1, words.shape[1]):
+        values = (values << 64) | words[:, j].astype(object)
+    return values.tolist()
 
 
 @dataclass(frozen=True)
@@ -195,13 +243,11 @@ def balance_check(perm, n: int, m: int) -> BalanceResult:
     exactly 2**m times."""
     if n > 24:
         raise ValueError("full sweep limited to n <= 24")
-    if isinstance(perm, ExplicitPermutation):
-        prefixes = perm.table >> m
-    else:
-        prefixes = np.fromiter(
-            (perm(x) >> m for x in range(1 << n)), dtype=np.int64, count=1 << n
-        )
-    hist = np.bincount(prefixes, minlength=1 << (n - m))
+    width = n - m
+    hist = np.zeros(1 << width, dtype=np.int64)
+    for words in _blocks(perm, n, 0, 1 << n):
+        rows = np.packbits(_bit_matrix(words, n, m, lead=32 - width), axis=1)
+        hist += np.bincount(rows.view(">u4")[:, 0], minlength=1 << width)
     return BalanceResult(bool(np.all(hist == (1 << m))), hist)
 
 

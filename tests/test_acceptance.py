@@ -37,7 +37,7 @@ from truncperm.moments import (
     pair_collision_moments,
     pair_collision_moments_brute,
 )
-from truncperm.stream import balance_check, explicit_permutation, stream_length_bytes
+from truncperm.stream import ExplicitPermutation, balance_check, stream_length_bytes
 
 
 BRUTE_CEILING = 10**6
@@ -254,7 +254,7 @@ def test_criterion_10_tightness_sweep(exact_grid, report):
 
 
 def test_criterion_11_stream_balance(report):
-    perm = explicit_permutation(12, seed=11)
+    perm = ExplicitPermutation(12, seed=11)
     good = balance_check(perm, 12, 4)
     balanced = good.passed and bool((good.histogram == 16).all())
     # negative control: clobber one table entry so the map is not a bijection

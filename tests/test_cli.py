@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from truncperm.cli import TIMING_COLUMNS, build_parser, main
+from truncperm.stream import FeistelPermutation
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +183,13 @@ class TestStreamCommand:
         assert code == 0
         assert parse_csv(out)[0]["balance"] == "pass"
 
+    def test_feistel_balance_mode(self, capsys):
+        code, out = run_cli(capsys, "stream", "--n", "16", "--m", "4",
+                            "--perm", "feistel", "--balance")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert (row["perm"], row["balance"]) == ("feistel_demo", "pass")
+
     def test_feistel_backend(self, capsys, tmp_path):
         out_path = tmp_path / "f.bin"
         code, _ = run_cli(capsys, "stream", "--n", "16", "--m", "8",
@@ -198,6 +206,18 @@ class TestBenchCommand:
                             "--count", "1024", "--repetitions", "2")
         assert code == 0
         row = parse_csv(out)[0]
+        assert float(row["bytes_per_second"]) > 0
+
+    def test_feistel_times_the_block_evaluation(self, capsys, monkeypatch):
+        def scalar(self, x):
+            raise AssertionError("per-symbol call")
+
+        monkeypatch.setattr(FeistelPermutation, "__call__", scalar)
+        code, out = run_cli(capsys, "bench", "--n", "16", "--m", "8", "--count", "4096",
+                            "--perm", "feistel", "--repetitions", "2")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert (row["perm"], row["bytes_written"]) == ("feistel_demo", "4096")
         assert float(row["bytes_per_second"]) > 0
 
 

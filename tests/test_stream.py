@@ -1,19 +1,22 @@
+import hashlib
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncperm.core import Params, count_profile
 from truncperm.exact import exact_advantage
 from truncperm.stream import (
+    BLOCK,
     ExplicitPermutation,
     FeistelPermutation,
     StreamConfig,
     balance_check,
-    demo_permutation,
-    explicit_permutation,
     generate_stream,
     security_margin,
     stream_length_bytes,
@@ -41,14 +44,14 @@ class TestTruncate:
 
 class TestExplicitPermutation:
     def test_is_bijection(self):
-        perm = explicit_permutation(8, seed=1)
+        perm = ExplicitPermutation(8, seed=1)
         assert sorted(perm(x) for x in range(256)) == list(range(256))
 
     def test_deterministic_in_seed(self):
-        a = explicit_permutation(6, seed=5)
-        b = explicit_permutation(6, seed=5)
+        a = ExplicitPermutation(6, seed=5)
+        b = ExplicitPermutation(6, seed=5)
         assert np.array_equal(a.table, b.table)
-        assert not np.array_equal(a.table, explicit_permutation(6, seed=6).table)
+        assert not np.array_equal(a.table, ExplicitPermutation(6, seed=6).table)
 
     def test_width_limit(self):
         with pytest.raises(ValueError):
@@ -57,19 +60,19 @@ class TestExplicitPermutation:
 
 class TestFeistelPermutation:
     def test_bijective_and_invertible(self):
-        perm = demo_permutation(16, b"test key")
+        perm = FeistelPermutation(16, b"test key")
         seen = set()
         for x in range(0, 1 << 16, 257):  # sparse sample plus inverses
             y = perm(x)
             assert perm.inverse(y) == x
             seen.add(y)
         # full bijectivity at a small width
-        small = demo_permutation(8, b"k")
+        small = FeistelPermutation(8, b"k")
         assert sorted(small(x) for x in range(256)) == list(range(256))
 
     def test_key_matters(self):
-        a = demo_permutation(16, b"a")
-        b = demo_permutation(16, b"b")
+        a = FeistelPermutation(16, b"a")
+        b = FeistelPermutation(16, b"b")
         assert any(a(x) != b(x) for x in range(64))
 
     def test_width_validation(self):
@@ -80,7 +83,7 @@ class TestFeistelPermutation:
 
     def test_input_range(self):
         with pytest.raises(ValueError):
-            demo_permutation(8, b"k")(256)
+            FeistelPermutation(8, b"k")(256)
 
 
 class TestStreamConfig:
@@ -99,7 +102,7 @@ class TestStreamConfig:
 class TestGenerateStream:
     def test_full_sweep_emits_each_symbol_capacity_times(self):
         # n=3, m=1: 8 counters, each 2-bit prefix appears exactly twice
-        perm = explicit_permutation(3, seed=2)
+        perm = ExplicitPermutation(3, seed=2)
         cfg = StreamConfig(3, 1, 8)
         sink = io.BytesIO()
         written = generate_stream(perm, cfg, sink)
@@ -108,14 +111,14 @@ class TestGenerateStream:
         assert sorted(symbols) == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_bit_packed_length(self):
-        perm = explicit_permutation(8, seed=0)
+        perm = ExplicitPermutation(8, seed=0)
         cfg = StreamConfig(8, 4, 256)
         sink = io.BytesIO()
         assert generate_stream(perm, cfg, sink) == 128  # 256 * 4 bits
         assert stream_length_bytes(8, 4, 256) == 128
 
     def test_bit_packing_round_trip(self):
-        perm = explicit_permutation(10, seed=7)
+        perm = ExplicitPermutation(10, seed=7)
         for m in (0, 3, 7):
             cfg = StreamConfig(10, m, 100, start_counter=17)
             sink = io.BytesIO()
@@ -124,7 +127,7 @@ class TestGenerateStream:
             assert unpack_symbols(sink.getvalue(), cfg) == expected
 
     def test_byte_packing_round_trip(self):
-        perm = explicit_permutation(12, seed=7)
+        perm = ExplicitPermutation(12, seed=7)
         cfg = StreamConfig(12, 2, 50, packing="byte")
         sink = io.BytesIO()
         written = generate_stream(perm, cfg, sink)
@@ -133,7 +136,7 @@ class TestGenerateStream:
         assert unpack_symbols(sink.getvalue(), cfg) == expected
 
     def test_final_byte_zero_padded(self):
-        perm = explicit_permutation(4, seed=1)
+        perm = ExplicitPermutation(4, seed=1)
         cfg = StreamConfig(4, 1, 3)  # 9 bits -> 2 bytes, 7 bits of padding
         sink = io.BytesIO()
         assert generate_stream(perm, cfg, sink) == 2
@@ -141,7 +144,7 @@ class TestGenerateStream:
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            generate_stream(explicit_permutation(8, 0), StreamConfig(10, 2, 4), io.BytesIO())
+            generate_stream(ExplicitPermutation(8, 0), StreamConfig(10, 2, 4), io.BytesIO())
 
     def test_prefix_distribution_matches_exact_advantage(self):
         # many independent permutations, a short stream prefix each: the
@@ -154,7 +157,7 @@ class TestGenerateStream:
 
         rule = optimal_rule()
         for seed in range(trials):
-            perm = explicit_permutation(6, seed=seed)
+            perm = ExplicitPermutation(6, seed=seed)
             symbols = [truncate(perm(c), 6, 3) for c in range(8)]
             if accepts_profile(rule, count_profile(symbols, p), p):
                 hits_perm += 1
@@ -172,26 +175,163 @@ class TestGenerateStream:
         assert abs(gap - exact) < 4 * (se + 1e-9)
 
 
+def _affine32(x):
+    return (x * 2654435761 + 12345) % 2**32
+
+
+def _affine80(x):
+    return (x * 0x9E3779B97F4A7C15F39D + 7) % 2**80
+
+
+def _key(seed):
+    return seed.to_bytes(8, "little", signed=True)
+
+
+# (permutation, config, bytes written, sha256 of the stream), as written by
+# the per-symbol generator that the block generator replaced
+PINNED_STREAMS = {
+    "explicit-20-7-bit": (
+        lambda: ExplicitPermutation(20, 3), StreamConfig(20, 7, 1 << 20), 1703936,
+        "920274f4c56239b62d50442ed9348f188357556f199d2ad9edb17180bbe6e6af"),
+    "explicit-20-7-byte": (
+        lambda: ExplicitPermutation(20, 3), StreamConfig(20, 7, 1 << 20, packing="byte"),
+        2097152, "37f356555be26b5b74213e5cd9f9675b570483bf93998773d661736b16f593b6"),
+    "feistel-16-8-bit": (
+        lambda: FeistelPermutation(16, _key(3)), StreamConfig(16, 8, 1 << 16), 65536,
+        "241d6824df4f59756c57449a8da255391e9a76a24b54f85fe97253f88a96b194"),
+    "feistel-128-0-top": (
+        lambda: FeistelPermutation(128, _key(3)),
+        StreamConfig(128, 0, 5, start_counter=2**128 - 5), 80,
+        "dd5fcd816cc2b9bfbfc605686fd8ae25b57211bc397d88f28fc51143296412ea"),
+    "explicit-10-3-start17-101": (
+        lambda: ExplicitPermutation(10, 7), StreamConfig(10, 3, 101, start_counter=17), 89,
+        "0233f18c5370538c552b139b2fd71f4e0b742d1d2973e2bb7e452d190251ca82"),
+    "explicit-18-5-block-bit": (
+        lambda: ExplicitPermutation(18, 5),
+        StreamConfig(18, 5, (1 << 16) + 3, start_counter=1000), 106501,
+        "c221d4251b93f5dd95ba2d4814de7fa8183eb2bf5872e826d1f5d6f03e82d7e0"),
+    "explicit-18-5-block-byte": (
+        lambda: ExplicitPermutation(18, 5),
+        StreamConfig(18, 5, (1 << 16) + 3, start_counter=1000, packing="byte"), 131078,
+        "d5e91a10c00441e90ddda45ed8ff24d29c17494c5671db1d1e267773f3290215"),
+    "feistel-18-5-block-byte": (
+        lambda: FeistelPermutation(18, _key(5)),
+        StreamConfig(18, 5, (1 << 16) + 3, start_counter=11, packing="byte"), 131078,
+        "6cba48a9e9248f601a6c808d9e7d5700b22a29e42d58bc2ad15e56afe13af68f"),
+    "feistel-128-57-block-bit": (
+        lambda: FeistelPermutation(128, _key(9)),
+        StreamConfig(128, 57, 70001, start_counter=2**128 - 70001), 621259,
+        "8ca02100f1f2e6d8973afcbf95dfb7c3bc8728e5655483afad0cc773f640e23d"),
+    "feistel-128-60-carry-byte": (  # the low 64 counter bits wrap mid-stream
+        lambda: FeistelPermutation(128, _key(9)),
+        StreamConfig(128, 60, 3001, start_counter=2**64 - 1000, packing="byte"), 27009,
+        "5429aadc2c60e8f5e6a409d4e08981acffefff3500477eb0cfd9f43a8e84a3fd"),
+    "feistel-96-40-halfwrap-bit": (  # the right half wraps mid-stream
+        lambda: FeistelPermutation(96, _key(2)),
+        StreamConfig(96, 40, 21, start_counter=5 * 2**48 - 7), 147,
+        "c5cc676d520e905e7bdca31d5cbecb4cf35ae49f99a5a582fd69cc911f9538fa"),
+    "external-32-9-bit": (
+        lambda: _affine32, StreamConfig(32, 9, 1001, start_counter=5), 2878,
+        "465eb407df79e97a8c41e0ac12a33ce1ec49580200389ee0346070c1d081098d"),
+    "external-32-9-byte": (
+        lambda: _affine32, StreamConfig(32, 9, 1001, start_counter=5, packing="byte"), 3003,
+        "5a714b26d565f466b59330e893bf6a120934542674c1d27a74916af725a33f49"),
+    "external-80-3-bit": (
+        lambda: _affine80, StreamConfig(80, 3, 50, start_counter=2**70), 482,
+        "39c0b2814a8a8012f062761842bbd9a83e1da6941e65f047ea9eb2e8b5d5face"),
+}
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+    def test_bytes_unchanged(self, name):
+        build, cfg, length, digest = PINNED_STREAMS[name]
+        sink = io.BytesIO()
+        assert generate_stream(build(), cfg, sink) == length
+        assert len(sink.getvalue()) == length
+        assert hashlib.sha256(sink.getvalue()).hexdigest() == digest
+
+
+@st.composite
+def _stream_cases(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        perm = ExplicitPermutation(n, seed=draw(st.integers(0, 2**32)))
+    else:
+        n = 2 * draw(st.integers(1, 64))
+        perm = FeistelPermutation(n, draw(st.binary(max_size=16)))
+    m = draw(st.integers(0, n - 1))
+    count = draw(st.integers(0, min(200, 1 << n)))
+    start = draw(st.integers(0, (1 << n) - count))
+    packing = draw(st.sampled_from(["bit", "byte"]))
+    return perm, StreamConfig(n, m, count, start_counter=start, packing=packing)
+
+
+class TestBlockEvaluation:
+    @given(_stream_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_calls(self, case):
+        perm, cfg = case
+        sink = io.BytesIO()
+        generate_stream(perm, cfg, sink)
+        counters = range(cfg.start_counter, cfg.start_counter + cfg.count)
+        expected = [truncate(perm(c), cfg.n, cfg.m) for c in counters]
+        assert unpack_symbols(sink.getvalue(), cfg) == expected
+
+    def test_external_out_of_range_output_raises(self):
+        with pytest.raises(ValueError, match="out of range"):
+            generate_stream(lambda x: x + 1, StreamConfig(4, 1, 16), io.BytesIO())
+        with pytest.raises(ValueError, match="out of range"):
+            generate_stream(lambda x: x - 1, StreamConfig(70, 1, 4), io.BytesIO())
+
+    def test_backends_never_called_per_symbol(self, monkeypatch):
+        def scalar(self, x):
+            raise AssertionError("per-symbol call")
+
+        monkeypatch.setattr(ExplicitPermutation, "__call__", scalar)
+        monkeypatch.setattr(FeistelPermutation, "__call__", scalar)
+        generate_stream(ExplicitPermutation(12, 0), StreamConfig(12, 3, 4096), io.BytesIO())
+        generate_stream(FeistelPermutation(12, b"k"), StreamConfig(12, 3, 4096), io.BytesIO())
+        assert balance_check(FeistelPermutation(12, b"k"), 12, 3).passed
+
+    def test_writes_one_block_at_a_time(self):
+        sizes = []
+        sink = SimpleNamespace(write=lambda chunk: sizes.append(len(chunk)))
+        cfg = StreamConfig(20, 7, 3 * BLOCK + 5, packing="byte")
+        generate_stream(ExplicitPermutation(20, 1), cfg, sink)
+        assert sizes == [2 * BLOCK] * 3 + [10]
+
+    def test_unpack_round_trip_is_linear(self):
+        perm = ExplicitPermutation(18, seed=4)
+        count = (1 << 17) + 5
+        for packing in ("bit", "byte"):
+            cfg = StreamConfig(18, 1, count, start_counter=77, packing=packing)
+            sink = io.BytesIO()
+            generate_stream(perm, cfg, sink)
+            expected = (perm.table[77 : 77 + count] >> 1).tolist()
+            assert unpack_symbols(sink.getvalue(), cfg) == expected
+
+
 class TestBalanceCheck:
     def test_explicit_passes(self):
-        perm = explicit_permutation(12, seed=3)
+        perm = ExplicitPermutation(12, seed=3)
         res = balance_check(perm, 12, 4)
         assert res.passed
         assert np.all(res.histogram == 16)
 
     def test_feistel_passes(self):
-        res = balance_check(demo_permutation(10, b"key"), 10, 2)
+        res = balance_check(FeistelPermutation(10, b"key"), 10, 2)
         assert res.passed
 
     def test_corrupted_table_fails(self):
-        perm = explicit_permutation(12, seed=3)
+        perm = ExplicitPermutation(12, seed=3)
         idx = int(np.argmax(perm.table >> 4 != perm.table[0] >> 4))
         perm.table[idx] = perm.table[0]  # duplicate entry: no longer a bijection
         assert not balance_check(perm, 12, 4).passed
 
     def test_sweep_limit(self):
         with pytest.raises(ValueError):
-            balance_check(demo_permutation(26, b"k"), 26, 2)
+            balance_check(FeistelPermutation(26, b"k"), 26, 2)
 
 
 class TestMarginsAndLengths:
@@ -208,14 +348,14 @@ class TestMarginsAndLengths:
 
 class TestBenchAndMetadata:
     def test_throughput_positive(self):
-        perm = explicit_permutation(10, seed=0)
+        perm = ExplicitPermutation(10, seed=0)
         res = throughput_bench(perm, StreamConfig(10, 2, 1024), repetitions=3)
         assert res.bytes_written == 1024
         assert res.bytes_per_second > 0
         assert res.seconds_per_symbol >= 0
 
     def test_metadata_sidecar(self, tmp_path):
-        perm = explicit_permutation(8, seed=5)
+        perm = ExplicitPermutation(8, seed=5)
         cfg = StreamConfig(8, 4, 16)
         meta = stream_metadata(perm, cfg, seed=5)
         assert meta["permutation_kind"] == "explicit"
