@@ -69,7 +69,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=10**5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--mode", choices=("exact", "fast"), default="exact")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None)
 
@@ -107,7 +106,6 @@ def _provenance(args) -> dict:
     return {
         "seed": args.seed,
         "workers": args.workers,
-        "arith_mode": args.mode,
         "version": __version__,
     }
 
@@ -167,6 +165,7 @@ def cmd_exact(args):
                 advantage_exact=_frac(greater.value),
                 identity=greater.identity,
                 profiles=greater.profiles_enumerated,
+                profiles_walked=greater.profiles_walked,
                 dual_identity_ok=dual_ok,
                 below_combined_upper=dominated,
                 status="ok",
@@ -179,6 +178,7 @@ def cmd_exact(args):
                 advantage_exact="",
                 identity="",
                 profiles="",
+                profiles_walked="",
                 dual_identity_ok="",
                 below_combined_upper="",
                 status="refused",

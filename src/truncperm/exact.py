@@ -56,7 +56,8 @@ class ProfileWeight:
 class AdvantageResult:
     value: Fraction
     identity: str
-    profiles_enumerated: int
+    profiles_enumerated: int  # closed-form count of the identity's profiles
+    profiles_walked: int  # profiles whose ratio the walk evaluated
 
 
 @dataclass(frozen=True)
@@ -137,32 +138,80 @@ def enumerate_profiles(
 
 def advantage_sum(
     params: Params,
-    accept: Callable[[CountProfile, int], bool],
+    accept: Callable[[int, int], bool],
     max_part: int | None = None,
-) -> Fraction:
-    """Sum of probability * (R - 1) over the count profiles `accept` takes.
+    positive_only: bool = False,
+) -> tuple[Fraction, int]:
+    """Sum of probability * (R - 1) over the count profiles `accept` takes,
+    and the number of profiles whose excess was evaluated.
 
     With b = 2**(n-m), (x)_d the falling factorial and p = count / b**q a
     profile's uniform-oracle weight, R = b**q * prod_d (2**m)_d / (2**n)_q.
     Each profile therefore adds the integer count * excess, where
     excess = b**q * prod_d (2**m)_d - (2**n)_q has the sign of R - 1, over the
     common denominator b**q * (2**n)_q; a single Fraction is built at the end.
-    `accept(profile, excess)` decides from the profile and that sign.
-    Profiles are those of `enumerate_profiles(params, max_part)`.
+    `accept(pairs, excess)` decides from the profile's pair count
+    sum_d C(d, 2) and that sign.  Profiles are those of
+    `enumerate_profiles(params, max_part)`, in another order.
+
+    The walk picks each distinct part size d with its multiplicity c in one
+    level, so it recurses once per distinct size (under sqrt(2q) levels), and
+    carries down the product of the (2**m)_d, the pair count and the weight
+    count = q!/prod d! * perm(b, k)/prod c!.  When `accept` takes only
+    profiles with excess > 0 (`positive_only`), a prefix with product P and
+    r queries left is skipped once b**q * P * 2**(m*r) <= (2**n)_q: as
+    (2**m)_d <= 2**(m*d), no completion of it has R > 1.
     """
     q = params.q
+    b = params.num_replies
+    m = params.m
     cap = params.bucket_capacity
     falling = [1] * (q + 1)  # (2**m)_d; 0 from d = 2**m + 1 on
     for d in range(1, q + 1):
         falling[d] = falling[d - 1] * (cap - d + 1)
     uniform = perm(params.domain_size, q)
-    scale = params.num_replies**q
+    scale = b**q
+    # b**q * X <= (2**n)_q  <=>  X <= floor((2**n)_q / b**q), for integers X >= 0
+    limit = uniform // scale
     total = 0
-    for pw in enumerate_profiles(params, max_part=max_part):
-        excess = scale * math.prod(falling[d] for d in pw.profile.parts) - uniform
-        if accept(pw.profile, excess):
-            total += pw.transcript_count * excess
-    return Fraction(total, scale * uniform)
+    walked = 0
+
+    def leaf(prod: int, weight: int, pairs: int) -> None:
+        nonlocal total, walked
+        walked += 1
+        excess = scale * prod - uniform
+        if accept(pairs, excess):
+            total += weight * excess
+
+    def walk(left: int, top: int, k: int, prod: int, weight: int, pairs: int) -> None:
+        # place `left` more queries in parts of size <= top, on at most b - k
+        # further reply values
+        room = b - k
+        for d in range(min(left, top), 0, -1):
+            if left > d * room:
+                return  # smaller parts reach even less
+            if d == 1:  # the rest are single queries on distinct reply values
+                prod *= cap**left
+                if not positive_only or prod > limit:
+                    leaf(prod, weight * perm(room, left), pairs)
+                return
+            fd = falling[d]
+            pd = comb(d, 2)
+            rest, p, w, x = left, prod, weight, pairs
+            for c in range(1, min(left // d, room) + 1):
+                p *= fd
+                if positive_only and p << (m * (rest - d)) <= limit:
+                    break  # more parts of size d only lower the bound
+                w = w * comb(rest, d) * (room - c + 1) // c
+                rest -= d
+                x += pd
+                if rest == 0:
+                    leaf(p, w, x)
+                elif rest <= (d - 1) * (room - c):
+                    walk(rest, d - 1, k + c, p, w, x)
+
+    walk(q, q if max_part is None else max_part, 0, 1, 1, 0)
+    return Fraction(total, scale * uniform), walked
 
 
 def _max_part(params: Params, identity: str) -> int:
@@ -201,16 +250,21 @@ def exact_advantage(
     `identity` selects which of the two equivalent expectations is summed:
     E max{R-1, 0} (VIA_R_GREATER) or E max{1-R, 0} (VIA_R_LESS); the results
     are equal.  The greater-side sum only needs profiles within capacity,
-    which keeps e.g. the m=0 birthday case feasible for large q.  The cell is
+    which keeps e.g. the m=0 birthday case feasible for large q, and skips
+    every subtree that cannot reach R > 1; the less-side sum walks every
+    profile, so the two stay independent checks of each other.  The cell is
     refused before any enumeration when its profile count exceeds the ceiling.
     """
     profiles = profile_budget(params, identity, profile_ceiling)
     max_part = _max_part(params, identity)
     if identity == VIA_R_GREATER:
-        value = advantage_sum(params, lambda _, excess: excess > 0, max_part)
+        value, walked = advantage_sum(
+            params, lambda _, excess: excess > 0, max_part, positive_only=True
+        )
     else:
-        value = -advantage_sum(params, lambda _, excess: excess < 0, max_part)
-    return AdvantageResult(value, identity, profiles)
+        value, walked = advantage_sum(params, lambda _, excess: excess < 0, max_part)
+        value = -value
+    return AdvantageResult(value, identity, profiles, walked)
 
 
 def brute_force_advantage(
@@ -237,7 +291,7 @@ def brute_force_advantage(
         ratio = likelihood_ratio(CountProfile(parts), params)
         if ratio > 1:
             total += Fraction(count, total_transcripts) * (ratio - 1)
-    return AdvantageResult(total, VIA_R_GREATER, len(tallies))
+    return AdvantageResult(total, VIA_R_GREATER, len(tallies), len(tallies))
 
 
 def profile_score(profile: CountProfile, params: Params) -> float:

@@ -16,10 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    CountProfile,
     Params,
     SHARD_COUNT,
     all_distinct_prob,
-    collision_excess_of_profile,
     likelihood_ratio,
     log_all_distinct_table,
     parallel_map,
@@ -81,18 +81,21 @@ def collision_rule_threshold(params: Params) -> float:
 
 
 def _acceptance(rule: Rule, params: Params):
-    """The rule as a predicate on (profile, excess), where excess is any number
-    with the sign of R - 1 (see `advantage_sum`)."""
+    """The rule as a predicate on (pairs, excess): the profile's number of
+    colliding reply pairs sum_d C(d, 2), and any number with the sign of
+    R - 1 (see `advantage_sum`)."""
     if rule.kind == COLLISION_THRESHOLD:
-        return lambda profile, _: collision_excess_of_profile(profile, params) > rule.threshold
+        mean = Fraction(math.comb(params.q, 2), params.num_replies)
+        return lambda pairs, _: pairs - mean > rule.threshold
     if rule.kind == LIKELIHOOD_GREATER:
         return lambda _, excess: excess > 0
     return lambda _, excess: excess < 0
 
 
-def accepts_profile(rule: Rule, profile, params: Params) -> bool:
+def accepts_profile(rule: Rule, profile: CountProfile, params: Params) -> bool:
     """Exact-arithmetic acceptance decision for a count profile."""
-    return _acceptance(rule, params)(profile, likelihood_ratio(profile, params) - 1)
+    pairs = sum(math.comb(d, 2) for d in profile.parts)
+    return _acceptance(rule, params)(pairs, likelihood_ratio(profile, params) - 1)
 
 
 def rule_advantage_exact(
@@ -105,7 +108,10 @@ def rule_advantage_exact(
         raise EnumerationLimitError(
             f"{estimated} profiles exceed ceiling {profile_ceiling}"
         )
-    return abs(advantage_sum(params, _acceptance(rule, params)))
+    value, _ = advantage_sum(
+        params, _acceptance(rule, params), positive_only=rule.kind == LIKELIHOOD_GREATER
+    )
+    return abs(value)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["exact"])
 
+    def test_no_arithmetic_mode_option(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["exact", "--n", "2", "--q", "2", "--mode", "fast"])
+        _, out = run_cli(capsys, "mc", "--n", "4", "--m", "2", "--q", "4", "--trials", "10")
+        assert "arith_mode" not in parse_csv(out)[0]
+
     def test_runs_as_module(self):
         proc = subprocess.run(
             [sys.executable, "-m", "truncperm", "exact", "--n", "2", "--m", "1", "--q", "3"],
@@ -51,6 +57,17 @@ class TestExactCommand:
         assert [r["advantage_exact"] for r in rows] == ["1/6", "1/4", "5/8"]
         assert all(r["dual_identity_ok"] == "True" for r in rows)
         assert all(r["below_combined_upper"] == "True" for r in rows)
+
+    def test_reports_profiles_walked(self, capsys):
+        # profiles is the closed-form count; the greater-side walk reaches
+        # only the profiles with R > 1
+        code, out = run_cli(capsys, "exact", "--n", "10", "--m", "5", "--q", "32")
+        row = parse_csv(out)[0]
+        assert (row["profiles"], row["profiles_walked"]) == ("8349", "87")
+        assert code == 0
+        _, out = run_cli(capsys, "exact", "--n", "7", "--m", "3", "--q", "112")
+        row = parse_csv(out)[0]
+        assert (row["status"], row["profiles"], row["profiles_walked"]) == ("refused", "", "")
 
     def test_sweep_expansion(self, capsys):
         code, out = run_cli(capsys, "exact", "--n-range", "2", "3",

@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import perm
 
 import pytest
 
-from truncperm.core import Params, make_rng
+from truncperm.core import Params, all_distinct_prob, make_rng
 from truncperm.exact import (
     VIA_R_GREATER,
     VIA_R_LESS,
@@ -33,6 +34,24 @@ def count_partitions_recursive(total, max_part, max_parts):
         count_partitions_recursive(total - first, first, max_parts - 1)
         for first in range(min(total, max_part), 0, -1)
     )
+
+
+def advantage_sum_unpruned(params, accept, max_part=None):
+    """The leaf-by-leaf kernel the pruned walk replaced, kept as reference:
+    every profile of `enumerate_profiles`, `accept(profile, excess)`."""
+    q = params.q
+    cap = params.bucket_capacity
+    falling = [1] * (q + 1)
+    for d in range(1, q + 1):
+        falling[d] = falling[d - 1] * (cap - d + 1)
+    uniform = perm(params.domain_size, q)
+    scale = params.num_replies**q
+    total = 0
+    for pw in enumerate_profiles(params, max_part=max_part):
+        excess = scale * math.prod(falling[d] for d in pw.profile.parts) - uniform
+        if accept(pw.profile, excess):
+            total += pw.transcript_count * excess
+    return Fraction(total, scale * uniform)
 
 
 class TestPartitions:
@@ -160,6 +179,37 @@ class TestExactAdvantage:
                     less += pw.probability * (1 - ratio)
             assert exact_advantage(p, VIA_R_GREATER).value == greater, p
             assert exact_advantage(p, VIA_R_LESS).value == less, p
+
+
+class TestPrunedKernel:
+    @pytest.mark.parametrize("n,m,q", [(7, 3, 112), (7, 3, 120), (7, 3, 128), (8, 4, 256)])
+    def test_greater_side_matches_unpruned_walk(self, n, m, q):
+        # cells whose less side is refused; (8, 4, 256) once ran away
+        p = Params(n, m, q)
+        want = advantage_sum_unpruned(p, lambda _, excess: excess > 0, min(q, p.bucket_capacity))
+        assert exact_advantage(p, VIA_R_GREATER).value == want
+
+    def test_identities_agree_where_pruning_skips_most_profiles(self):
+        p = Params(12, 6, 48)
+        greater = exact_advantage(p, VIA_R_GREATER)
+        less = exact_advantage(p, VIA_R_LESS)
+        assert greater.value == less.value
+        assert greater.profiles_enumerated == less.profiles_enumerated == 147273
+        assert less.profiles_walked == 147273
+        assert greater.profiles_walked == 122  # the profiles with R > 1
+
+    @pytest.mark.parametrize("q", [1100, 4096])
+    def test_birthday_case_for_large_q(self, q):
+        # one profile, (1,) * q: the walk must not recurse once per part
+        res = exact_advantage(Params(12, 0, q), VIA_R_GREATER)
+        assert res.value == 1 - all_distinct_prob(q, 2**12)
+
+    def test_walk_reaches_exactly_the_accepted_profiles(self, small_cell_ratios):
+        for p, profiles in small_cell_ratios:
+            greater = exact_advantage(p, VIA_R_GREATER)
+            less = exact_advantage(p, VIA_R_LESS)
+            assert greater.profiles_walked == sum(1 for _, r in profiles if r > 1), p
+            assert less.profiles_walked == less.profiles_enumerated == len(profiles), p
 
 
 class TestBruteForce:

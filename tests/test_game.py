@@ -1,14 +1,23 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from truncperm.core import CountProfile, Params, collision_excess_of_profile, make_rng
+from truncperm.core import (
+    CountProfile,
+    Params,
+    all_distinct_prob,
+    collision_excess_of_profile,
+    log_all_distinct_table,
+    make_rng,
+)
 from truncperm.exact import EnumerationLimitError, exact_advantage
 from truncperm.game import (
     COLLISION_THRESHOLD,
     LIKELIHOOD_GREATER,
     Rule,
+    _accept_counts,
     accepts_profile,
     collision_rule_threshold,
     optimal_rule,
@@ -106,6 +115,28 @@ class TestRuleAdvantageExact:
             for rule, accepts in rules.items():
                 expected = abs(sum((w for w, r, x in terms if accepts(r, x)), Fraction(0)))
                 assert rule_advantage_exact(p, rule) == expected, (p, rule)
+
+
+class TestFloatClassifier:
+    def test_sign_matches_integer_excess(self, small_cell_ratios):
+        # the log-space value `_accept_counts` thresholds at 0 has, at every
+        # profile, the sign of b**q * prod (2**m)_d - (2**n)_q
+        for p, profiles in small_cell_ratios:
+            cap, q = p.bucket_capacity, p.q
+            counts = np.zeros((len(profiles), p.num_replies), dtype=np.int64)
+            signs = []
+            for row, (pw, _) in zip(counts, profiles):
+                parts = pw.profile.parts
+                row[: len(parts)] = parts
+                num = p.num_replies**q * math.prod(math.perm(cap, d) for d in parts)
+                excess = num - math.perm(p.domain_size, q)
+                signs.append((excess > 0) - (excess < 0))
+            table = log_all_distinct_table(q, cap)
+            log_denom = all_distinct_prob(q, p.domain_size, mode="log")
+            log_ratio = table[counts].sum(axis=1) - log_denom
+            assert np.sign(log_ratio).tolist() == signs, p
+            assert _accept_counts(optimal_rule(), counts, p) == signs.count(1), p
+            assert _accept_counts(optimal_rule("less"), counts, p) == signs.count(-1), p
 
 
 class TestPlayGame:
