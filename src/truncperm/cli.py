@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Every subcommand evaluates its module over a single (n, m, q) cell or a sweep,
-and emits one row per cell as CSV (default) or JSON.  All randomness is
-seeded; rows embed the full configuration, so a re-run with the same seed and
-any worker count reproduces the output byte for byte apart from the elapsed
-column.
+and emits one row per cell as CSV (default) or JSON.  Each subcommand takes
+only the option groups it reads (`COMMANDS`).  All randomness is seeded; rows
+echo the seed and worker count where the command takes them, so a re-run with
+the same seed and any worker count reproduces the output byte for byte apart
+from the elapsed column.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .bounds import bound_report
@@ -59,20 +61,6 @@ from .stream import (
 TIMING_COLUMNS = ("elapsed_s",)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--q", type=int)
-    parser.add_argument("--n-range", type=int, nargs=2, metavar=("LO", "HI"))
-    parser.add_argument("--m-range", type=int, nargs=2, metavar=("LO", "HI"))
-    parser.add_argument("--q-range", type=int, nargs=2, metavar=("LO", "HI"))
-    parser.add_argument("--trials", type=int, default=10**5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", default=None)
-
-
 def _cells(args) -> list[tuple[int, int, int]]:
     """Expand the cell sweep; ranges are inclusive and clipped to validity."""
     if args.n_range:
@@ -103,11 +91,27 @@ def _cells(args) -> list[tuple[int, int, int]]:
 
 
 def _provenance(args) -> dict:
-    return {
-        "seed": args.seed,
-        "workers": args.workers,
-        "version": __version__,
-    }
+    """The seed and worker count, where the command takes them, and the
+    version."""
+    echoed = {key: getattr(args, key) for key in ("seed", "workers") if hasattr(args, key)}
+    return {**echoed, "version": __version__}
+
+
+def _row(args, fields: dict, t0: float) -> dict:
+    """A report row: the fields, the provenance, then the seconds since t0."""
+    return {**fields, **_provenance(args), "elapsed_s": round(time.perf_counter() - t0, 6)}
+
+
+def _sweep(args, cell_fn):
+    """Run cell_fn(args, params) -> (fields, ok) on every cell of the sweep;
+    one row per cell, and ok only if every cell's is."""
+    rows, ok = [], True
+    for n, m, q in _cells(args):
+        t0 = time.perf_counter()
+        fields, cell_ok = cell_fn(args, Params(n, m, q))
+        rows.append(_row(args, {"n": n, "m": m, "q": q, **fields}, t0))
+        ok &= cell_ok
+    return rows, ok
 
 
 def _emit(rows: list[dict], args) -> None:
@@ -140,156 +144,114 @@ def _frac(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands; each returns (rows, all_ok)
+# Cells of the sweep subcommands; each returns (result fields, ok)
+
+EXACT_RESULTS = (
+    "advantage",
+    "advantage_exact",
+    "identity",
+    "profiles",
+    "profiles_walked",
+    "dual_identity_ok",
+    "below_combined_upper",
+)
 
 
-def cmd_exact(args):
-    rows, ok = [], True
-    for n, m, q in _cells(args):
-        t0 = time.perf_counter()
-        row = {"n": n, "m": m, "q": q, **_provenance(args)}
-        try:
-            p = Params(n, m, q)
-            # price both sums before running either, so a refused cell
-            # enumerates nothing; the greater side first, as its count is the
-            # one a refusal of both sides reports
-            for identity in (VIA_R_GREATER, VIA_R_LESS):
-                profile_budget(p, identity)
-            greater = exact_advantage(p, VIA_R_GREATER)
-            less = exact_advantage(p, VIA_R_LESS)
-            upper = bound_report(n, m, q).combined_upper
-            dual_ok = greater.value == less.value
-            dominated = greater.value <= upper
-            row.update(
-                advantage=float(greater.value),
-                advantage_exact=_frac(greater.value),
-                identity=greater.identity,
-                profiles=greater.profiles_enumerated,
-                profiles_walked=greater.profiles_walked,
-                dual_identity_ok=dual_ok,
-                below_combined_upper=dominated,
-                status="ok",
-                reason="",
+def exact_cell(args, p: Params):
+    try:
+        # price both sums before running either, so a refused cell
+        # enumerates nothing; the greater side first, as its count is the
+        # one a refusal of both sides reports
+        for identity in (VIA_R_GREATER, VIA_R_LESS):
+            profile_budget(p, identity)
+    except EnumerationLimitError as exc:
+        refused = dict.fromkeys(EXACT_RESULTS, "")
+        return {**refused, "status": "refused", "reason": f"ceiling: {exc}"}, True
+    greater = exact_advantage(p, VIA_R_GREATER)
+    less = exact_advantage(p, VIA_R_LESS)
+    dual_ok = greater.value == less.value
+    dominated = greater.value <= bound_report(p.n, p.m, p.q).combined_upper
+    fields = {
+        "advantage": float(greater.value),
+        "advantage_exact": _frac(greater.value),
+        "identity": greater.identity,
+        "profiles": greater.profiles_enumerated,
+        "profiles_walked": greater.profiles_walked,
+        "dual_identity_ok": dual_ok,
+        "below_combined_upper": dominated,
+        "status": "ok",
+        "reason": "",
+    }
+    return fields, dual_ok and dominated
+
+
+def bounds_cell(args, p: Params):
+    rep = bound_report(p.n, p.m, p.q)
+    fields = {
+        "birthday_exact": (
+            float(rep.birthday_exact) if rep.birthday_exact is not None else ""
+        ),
+        "birthday_upper": float(rep.birthday_upper),
+        "hall_lower_ref": float(rep.hall_lower_ref.value),
+        "hall_lower_valid": rep.hall_lower_ref.valid,
+        "hall_upper": rep.hall_upper,
+        "bi_upper": rep.bi_upper.value,
+        "bi_valid": rep.bi_upper.valid,
+        "gg_upper": rep.gg_upper.value,
+        "gg_branch": rep.gg_upper.branch,
+        "gg_valid": rep.gg_upper.valid,
+        "stam_full": rep.stam_full if rep.stam_full is not None else "",
+        "stam_simplified": float(rep.stam_simplified.value),
+        "stam_simplified_exact": _frac(rep.stam_simplified.value),
+        "stam_simplified_valid": rep.stam_simplified.valid,
+        "combined_upper": float(rep.combined_upper),
+        "theta_envelope": float(rep.theta_envelope),
+    }
+    return fields, True
+
+
+def mc_cell(args, p: Params):
+    est = mc_advantage_sharded(p, args.trials, args.seed, workers=args.workers)
+    fields = {
+        "trials": est.trials,
+        "estimate": est.mean,
+        "std_err": est.std_err if est.std_err is not None else "",
+    }
+    return fields, True
+
+
+def moments_cell(args, p: Params):
+    ok = True
+    closed = moments_closed_form(p)
+    fields = {
+        "m1": float(closed.m1),
+        "m2": float(closed.m2),
+        "m3": float(closed.m3),
+        "m4": float(closed.m4),
+        "m2_exact": _frac(closed.m2),
+        "m4_exact": _frac(closed.m4),
+        "brute_matches": "",
+    }
+    if p.num_replies**p.q <= 10**6:
+        ok = moments_brute(p) == closed
+        fields["brute_matches"] = ok
+    if args.trials >= 2:
+        emp = moments_empirical(p, args.trials, make_rng(args.seed))
+        within = all(
+            abs(e - float(c)) <= 4.0 * se + 1e-12
+            for e, c, se in (
+                (emp.m1, closed.m1, emp.se1),
+                (emp.m2, closed.m2, emp.se2),
+                (emp.m3, closed.m3, emp.se3),
+                (emp.m4, closed.m4, emp.se4),
             )
-            ok &= dual_ok and dominated
-        except EnumerationLimitError as exc:
-            row.update(
-                advantage="",
-                advantage_exact="",
-                identity="",
-                profiles="",
-                profiles_walked="",
-                dual_identity_ok="",
-                below_combined_upper="",
-                status="refused",
-                reason=f"ceiling: {exc}",
-            )
-        row["elapsed_s"] = round(time.perf_counter() - t0, 6)
-        rows.append(row)
-    return rows, ok
-
-
-def cmd_bounds(args):
-    rows = []
-    for n, m, q in _cells(args):
-        t0 = time.perf_counter()
-        rep = bound_report(n, m, q)
-        rows.append(
-            {
-                "n": n,
-                "m": m,
-                "q": q,
-                "birthday_exact": (
-                    float(rep.birthday_exact) if rep.birthday_exact is not None else ""
-                ),
-                "birthday_upper": float(rep.birthday_upper),
-                "hall_lower_ref": float(rep.hall_lower_ref.value),
-                "hall_lower_valid": rep.hall_lower_ref.valid,
-                "hall_upper": rep.hall_upper,
-                "bi_upper": rep.bi_upper.value,
-                "bi_valid": rep.bi_upper.valid,
-                "gg_upper": rep.gg_upper.value,
-                "gg_branch": rep.gg_upper.branch,
-                "gg_valid": rep.gg_upper.valid,
-                "stam_full": rep.stam_full if rep.stam_full is not None else "",
-                "stam_simplified": float(rep.stam_simplified.value),
-                "stam_simplified_exact": _frac(rep.stam_simplified.value),
-                "stam_simplified_valid": rep.stam_simplified.valid,
-                "combined_upper": float(rep.combined_upper),
-                "theta_envelope": float(rep.theta_envelope),
-                **_provenance(args),
-                "elapsed_s": round(time.perf_counter() - t0, 6),
-            }
         )
-    return rows, True
-
-
-def cmd_mc(args):
-    rows = []
-    for n, m, q in _cells(args):
-        t0 = time.perf_counter()
-        est = mc_advantage_sharded(
-            Params(n, m, q), args.trials, args.seed, workers=args.workers
+        fields.update(
+            emp_m2=emp.m2, emp_m4=emp.m4, emp_trials=emp.trials,
+            empirical_within_4se=within,
         )
-        rows.append(
-            {
-                "n": n,
-                "m": m,
-                "q": q,
-                "trials": est.trials,
-                "estimate": est.mean,
-                "std_err": est.std_err if est.std_err is not None else "",
-                **_provenance(args),
-                "elapsed_s": round(time.perf_counter() - t0, 6),
-            }
-        )
-    return rows, True
-
-
-def cmd_moments(args):
-    rows, ok = [], True
-    for n, m, q in _cells(args):
-        t0 = time.perf_counter()
-        p = Params(n, m, q)
-        closed = moments_closed_form(p)
-        row = {
-            "n": n,
-            "m": m,
-            "q": q,
-            "m1": float(closed.m1),
-            "m2": float(closed.m2),
-            "m3": float(closed.m3),
-            "m4": float(closed.m4),
-            "m2_exact": _frac(closed.m2),
-            "m4_exact": _frac(closed.m4),
-        }
-        if p.num_replies**q <= 10**6:
-            brute = moments_brute(p)
-            match = brute == closed
-            row["brute_matches"] = match
-            ok &= match
-        else:
-            row["brute_matches"] = ""
-        if args.trials >= 2:
-            emp = moments_empirical(p, args.trials, make_rng(args.seed))
-            within = all(
-                abs(e - float(c)) <= 4.0 * se + 1e-12
-                for e, c, se in (
-                    (emp.m1, closed.m1, emp.se1),
-                    (emp.m2, closed.m2, emp.se2),
-                    (emp.m3, closed.m3, emp.se3),
-                    (emp.m4, closed.m4, emp.se4),
-                )
-            )
-            row.update(
-                emp_m2=emp.m2, emp_m4=emp.m4, emp_trials=emp.trials,
-                empirical_within_4se=within,
-            )
-            ok &= within
-        row.update(**_provenance(args))
-        row["elapsed_s"] = round(time.perf_counter() - t0, 6)
-        rows.append(row)
-    return rows, ok
+        ok &= within
+    return fields, ok
 
 
 def _build_rule(args, params: Params) -> Rule:
@@ -302,52 +264,44 @@ def _build_rule(args, params: Params) -> Rule:
     raise SystemExit(f"error: unknown rule {args.rule!r}")
 
 
-def cmd_game(args):
-    rows, ok = [], True
-    for n, m, q in _cells(args):
-        t0 = time.perf_counter()
-        p = Params(n, m, q)
-        rule = _build_rule(args, p)
-        res = play_game_sharded(p, rule, args.trials, args.seed, workers=args.workers)
-        row = {
-            "n": n,
-            "m": m,
-            "q": q,
-            "rule": rule.kind,
-            "threshold": rule.threshold if rule.threshold is not None else "",
-            "trials_per_arm": res.trials_per_arm,
-            "accept_rate_function": res.accept_rate_function,
-            "accept_rate_permutation": res.accept_rate_permutation,
-            "empirical_advantage": res.empirical_advantage,
-            "std_err": res.standard_error,
-        }
-        try:
-            exact = rule_advantage_exact(p, rule)
-            within = abs(res.empirical_advantage - float(exact)) <= 4.0 * res.standard_error
-            row.update(exact_advantage=float(exact), within_4se=within)
-            ok &= within
-        except EnumerationLimitError:
-            row.update(exact_advantage="", within_4se="")
-        row.update(**_provenance(args))
-        row["elapsed_s"] = round(time.perf_counter() - t0, 6)
-        rows.append(row)
-    return rows, ok
+def game_cell(args, p: Params):
+    rule = _build_rule(args, p)
+    res = play_game_sharded(p, rule, args.trials, args.seed, workers=args.workers)
+    fields = {
+        "rule": rule.kind,
+        "threshold": rule.threshold if rule.threshold is not None else "",
+        "trials_per_arm": res.trials_per_arm,
+        "accept_rate_function": res.accept_rate_function,
+        "accept_rate_permutation": res.accept_rate_permutation,
+        "empirical_advantage": res.empirical_advantage,
+        "std_err": res.standard_error,
+        "exact_advantage": "",
+        "within_4se": "",
+    }
+    try:
+        exact = rule_advantage_exact(p, rule)
+    except EnumerationLimitError:
+        return fields, True
+    within = abs(res.empirical_advantage - float(exact)) <= 4.0 * res.standard_error
+    fields.update(exact_advantage=float(exact), within_4se=within)
+    return fields, within
+
+
+# ---------------------------------------------------------------------------
+# Subcommands over something other than a cell sweep; each returns (rows, ok)
 
 
 def cmd_lemmas(args):
     rows, ok = [], True
     t0 = time.perf_counter()
     for res in run_lemma_suite(make_rng(args.seed), trials=args.trials):
-        rows.append(
-            {
-                "check": res.name,
-                "passed": res.passed,
-                "cases": res.cases,
-                "worst_slack": res.worst_slack,
-                **_provenance(args),
-                "elapsed_s": round(time.perf_counter() - t0, 6),
-            }
-        )
+        fields = {
+            "check": res.name,
+            "passed": res.passed,
+            "cases": res.cases,
+            "worst_slack": res.worst_slack,
+        }
+        rows.append(_row(args, fields, t0))
         ok &= res.passed
         if not res.passed:
             why = res.detail or f"worst slack {res.worst_slack}"
@@ -355,30 +309,26 @@ def cmd_lemmas(args):
     return rows, ok
 
 
-def _build_perm(args, n: int):
+def _build_perm(args):
+    if args.n is None or args.m is None:
+        raise SystemExit(f"error: {args.command} needs --n and --m")
     if args.perm == "explicit":
-        return ExplicitPermutation(n, args.seed)
-    return FeistelPermutation(n, args.seed.to_bytes(8, "little", signed=True))
+        return ExplicitPermutation(args.n, args.seed)
+    return FeistelPermutation(args.n, args.seed.to_bytes(8, "little", signed=True))
 
 
 def cmd_stream(args):
-    if args.n is None or args.m is None:
-        raise SystemExit("error: stream needs --n and --m")
     t0 = time.perf_counter()
-    perm = _build_perm(args, args.n)
+    perm = _build_perm(args)
     if args.balance:
         res: BalanceResult = balance_check(perm, args.n, args.m)
-        rows = [
-            {
-                "n": args.n,
-                "m": args.m,
-                "perm": perm.kind,
-                "balance": "pass" if res.passed else "fail",
-                **_provenance(args),
-                "elapsed_s": round(time.perf_counter() - t0, 6),
-            }
-        ]
-        return rows, res.passed
+        fields = {
+            "n": args.n,
+            "m": args.m,
+            "perm": perm.kind,
+            "balance": "pass" if res.passed else "fail",
+        }
+        return [_row(args, fields, t0)], res.passed
     cfg = StreamConfig(
         args.n, args.m, args.count, start_counter=args.start, packing=args.packing
     )
@@ -387,47 +337,66 @@ def cmd_stream(args):
         written = generate_stream(perm, cfg, fh)
     write_metadata(out + ".json", perm, cfg, seed=args.seed)
     args.out = None  # binary went to --out; the report row goes to stdout
-    rows = [
-        {
-            "n": args.n,
-            "m": args.m,
-            "count": args.count,
-            "packing": args.packing,
-            "perm": perm.kind,
-            "bytes_written": written,
-            "output": out,
-            "metadata": out + ".json",
-            **_provenance(args),
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        }
-    ]
-    return rows, True
+    fields = {
+        "n": args.n,
+        "m": args.m,
+        "count": args.count,
+        "packing": args.packing,
+        "perm": perm.kind,
+        "bytes_written": written,
+        "output": out,
+        "metadata": out + ".json",
+    }
+    return [_row(args, fields, t0)], True
 
 
 def cmd_bench(args):
-    if args.n is None or args.m is None:
-        raise SystemExit("error: bench needs --n and --m")
     t0 = time.perf_counter()
-    perm = _build_perm(args, args.n)
+    perm = _build_perm(args)
     cfg = StreamConfig(
         args.n, args.m, args.count, start_counter=args.start, packing=args.packing
     )
     res = throughput_bench(perm, cfg, repetitions=args.repetitions)
-    rows = [
-        {
-            "n": args.n,
-            "m": args.m,
-            "count": args.count,
-            "packing": args.packing,
-            "perm": perm.kind,
-            "bytes_written": res.bytes_written,
-            "bytes_per_second": res.bytes_per_second,
-            "seconds_per_symbol": res.seconds_per_symbol,
-            **_provenance(args),
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        }
-    ]
-    return rows, True
+    fields = {
+        "n": args.n,
+        "m": args.m,
+        "count": args.count,
+        "packing": args.packing,
+        "perm": perm.kind,
+        "bytes_written": res.bytes_written,
+        "bytes_per_second": res.bytes_per_second,
+        "seconds_per_symbol": res.seconds_per_symbol,
+    }
+    return [_row(args, fields, t0)], True
+
+
+# (flags, argparse keywords) of each option group
+OPTION_GROUPS = {
+    "cells": (
+        ("--n", dict(type=int)),
+        ("--m", dict(type=int)),
+        ("--q", dict(type=int)),
+        ("--n-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
+        ("--m-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
+        ("--q-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
+    ),
+    "trials": (("--trials", dict(type=int, default=10**5)),),
+    "seed": (("--seed", dict(type=int, default=0)),),
+    "workers": (("--workers", dict(type=int, default=1)),),
+    "rule": (
+        ("--rule", dict(choices=("optimal", "optimal-less", "collision"), default="optimal")),
+    ),
+    "keystream": (
+        ("--n", dict(type=int)),
+        ("--m", dict(type=int)),
+        ("--count", dict(type=int, default=1 << 12)),
+        ("--start", dict(type=int, default=0)),
+        ("--packing", dict(choices=("bit", "byte"), default="bit")),
+        ("--perm", dict(choices=("explicit", "feistel"), default="explicit")),
+    ),
+    "balance": (("--balance", dict(action="store_true")),),
+    "repetitions": (("--repetitions", dict(type=int, default=5)),),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,24 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="truncated-permutation distinguishing-advantage laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
+    for name, (fn, groups) in COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "game":
-            p.add_argument(
-                "--rule",
-                choices=("optimal", "optimal-less", "collision"),
-                default="optimal",
-            )
-        if name in ("stream", "bench"):
-            p.add_argument("--count", type=int, default=1 << 12)
-            p.add_argument("--start", type=int, default=0)
-            p.add_argument("--packing", choices=("bit", "byte"), default="bit")
-            p.add_argument("--perm", choices=("explicit", "feistel"), default="explicit")
-        if name == "stream":
-            p.add_argument("--balance", action="store_true")
-        if name == "bench":
-            p.add_argument("--repetitions", type=int, default=5)
+        for group in groups:
+            for flag, kwargs in OPTION_GROUPS[group]:
+                p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
     return parser
 
@@ -469,15 +427,19 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
+# name: (function of the parsed arguments, option groups it reads)
 COMMANDS = {
-    "exact": cmd_exact,
-    "bounds": cmd_bounds,
-    "mc": cmd_mc,
-    "moments": cmd_moments,
-    "game": cmd_game,
-    "lemmas": cmd_lemmas,
-    "stream": cmd_stream,
-    "bench": cmd_bench,
+    "exact": (partial(_sweep, cell_fn=exact_cell), ("cells",)),
+    "bounds": (partial(_sweep, cell_fn=bounds_cell), ("cells",)),
+    "mc": (partial(_sweep, cell_fn=mc_cell), ("cells", "trials", "seed", "workers")),
+    "moments": (partial(_sweep, cell_fn=moments_cell), ("cells", "trials", "seed")),
+    "game": (
+        partial(_sweep, cell_fn=game_cell),
+        ("cells", "trials", "seed", "workers", "rule"),
+    ),
+    "lemmas": (cmd_lemmas, ("trials", "seed")),
+    "stream": (cmd_stream, ("keystream", "seed", "balance")),
+    "bench": (cmd_bench, ("keystream", "seed", "repetitions")),
 }
 
 

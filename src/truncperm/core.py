@@ -257,6 +257,19 @@ def parallel_map(
         return [f.result() for f in futures]
 
 
+def map_shards(
+    fn: Callable[[int, np.random.Generator], _T],
+    trials: int,
+    seed: int | None,
+    workers: int = 1,
+) -> list[_T]:
+    """fn(shard_trials, rng) over the fixed shard layout of `trials`, in shard
+    order: shard i gets stream i of spawn_rngs(seed, SHARD_COUNT), so the
+    results depend on (seed, trials) only, never on `workers`."""
+    shards = zip(split_trials(trials), spawn_rngs(seed, SHARD_COUNT))
+    return parallel_map(fn, list(shards), workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # Transcript samplers for the two hypotheses
 
@@ -315,3 +328,22 @@ def sample_permutation_count_matrix(
     hypergeometric draw."""
     colors = [params.bucket_capacity] * params.num_replies
     return rng.multivariate_hypergeometric(colors, params.q, size=trials)
+
+
+# ---------------------------------------------------------------------------
+# Statistics of (trials x buckets) count matrices, one value per row
+
+
+def log_likelihood_ratios(counts: np.ndarray, params: Params) -> np.ndarray:
+    """`log_likelihood_ratio` of every row of a count matrix, by table lookup;
+    LOG_ZERO where some count exceeds the bucket capacity."""
+    table = log_all_distinct_table(params.q, params.bucket_capacity)
+    log_denom = all_distinct_prob(params.q, params.domain_size, mode=LOG)
+    return table[counts].sum(axis=1) - log_denom
+
+
+def collision_excesses(counts: np.ndarray, params: Params) -> np.ndarray:
+    """`collision_excess` of every row of a count matrix, in floats."""
+    c = counts.astype(np.float64)
+    pairs = (c * (c - 1.0) / 2.0).sum(axis=1)
+    return pairs - comb(params.q, 2) / params.num_replies

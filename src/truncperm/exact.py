@@ -26,6 +26,9 @@ from .core import (
     all_distinct_prob,
     likelihood_ratio,
     log_all_distinct_table,
+    log_likelihood_ratios,
+    map_shards,
+    sample_function_count_matrix,
 )
 
 VIA_R_GREATER = "via_R_greater"
@@ -325,22 +328,22 @@ def mc_advantage(
         raise ValueError(f"unknown identity {identity!r}")
     b = params.num_replies
     q = params.q
-    table = log_all_distinct_table(q, params.bucket_capacity)
-    log_denom = all_distinct_prob(q, params.domain_size, mode="log")
-
     if trials * b <= 5 * 10**7:
-        counts = rng.multinomial(q, [1.0 / b] * b, size=trials)
-        log_num = table[counts].sum(axis=1)
+        log_ratio = log_likelihood_ratios(
+            sample_function_count_matrix(params, trials, rng), params
+        )
     else:
         # large reply alphabets: histogram one sampled transcript at a time
+        table = log_all_distinct_table(q, params.bucket_capacity)
         log_num = np.empty(trials)
         for i in range(trials):
             draws = rng.integers(0, b, size=q)
             occ = np.bincount(draws)
             occ = occ[occ > 0]
             log_num[i] = table[occ].sum()
+        log_ratio = log_num - all_distinct_prob(q, params.domain_size, mode="log")
     with np.errstate(invalid="ignore"):
-        ratio = np.exp(log_num - log_denom)
+        ratio = np.exp(log_ratio)
     ratio = np.nan_to_num(ratio, nan=0.0)
     if identity == VIA_R_LESS:
         values = np.maximum(1.0 - ratio, 0.0)
@@ -360,14 +363,11 @@ def mc_advantage_sharded(
 ) -> MonteCarloEstimate:
     """Sharded `mc_advantage`: deterministic in (seed, trials), for any worker
     count, by fixing the shard layout and merging in shard order."""
-    from .core import parallel_map, spawn_rngs, split_trials, SHARD_COUNT
-
-    sizes = split_trials(trials)
-    rngs = spawn_rngs(seed, SHARD_COUNT)
-    shots = parallel_map(
+    shots = map_shards(
         lambda t, rng: mc_advantage(params, t, rng, identity=identity),
-        [(t, rng) for t, rng in zip(sizes, rngs)],
-        workers=workers,
+        trials,
+        seed,
+        workers,
     )
     # merge sums, not means, so the float result is order-fixed
     s = math.fsum(e.mean * e.trials for e in shots)

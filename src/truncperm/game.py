@@ -18,21 +18,18 @@ import numpy as np
 from .core import (
     CountProfile,
     Params,
-    SHARD_COUNT,
-    all_distinct_prob,
+    collision_excesses,
     likelihood_ratio,
-    log_all_distinct_table,
-    parallel_map,
+    log_likelihood_ratios,
+    map_shards,
     sample_function_count_matrix,
     sample_permutation_count_matrix,
-    spawn_rngs,
-    split_trials,
 )
 from .exact import (
     DEFAULT_PROFILE_CEILING,
-    EnumerationLimitError,
+    VIA_R_LESS,
     advantage_sum,
-    count_partitions,
+    profile_budget,
 )
 
 LIKELIHOOD_GREATER = "likelihood_greater_than_one"
@@ -102,12 +99,9 @@ def rule_advantage_exact(
     params: Params, rule: Rule, profile_ceiling: int = DEFAULT_PROFILE_CEILING
 ) -> Fraction:
     """Exact advantage of an arbitrary (possibly suboptimal) rule:
-    |sum over accepted profiles of (R - 1) * probability|."""
-    estimated = count_partitions(params.q, params.q, params.num_replies)
-    if estimated > profile_ceiling:
-        raise EnumerationLimitError(
-            f"{estimated} profiles exceed ceiling {profile_ceiling}"
-        )
+    |sum over accepted profiles of (R - 1) * probability|.  Refused, like
+    `exact_advantage`, when the cell's profile count exceeds the ceiling."""
+    profile_budget(params, VIA_R_LESS, profile_ceiling)
     value, _ = advantage_sum(
         params, _acceptance(rule, params), positive_only=rule.kind == LIKELIHOOD_GREATER
     )
@@ -126,13 +120,9 @@ class GameResult:
 def _accept_counts(rule: Rule, counts: np.ndarray, params: Params) -> int:
     """Vectorized acceptance over a (trials x buckets) count matrix."""
     if rule.kind == COLLISION_THRESHOLD:
-        c = counts.astype(np.float64)
-        pairs = (c * (c - 1.0) / 2.0).sum(axis=1)
-        excess = pairs - math.comb(params.q, 2) / params.num_replies
+        excess = collision_excesses(counts, params)
         return int(np.count_nonzero(excess > rule.threshold))
-    table = log_all_distinct_table(params.q, params.bucket_capacity)
-    log_denom = all_distinct_prob(params.q, params.domain_size, mode="log")
-    log_ratio = table[counts].sum(axis=1) - log_denom
+    log_ratio = log_likelihood_ratios(counts, params)
     if rule.kind == LIKELIHOOD_GREATER:
         return int(np.count_nonzero(log_ratio > 0.0))
     return int(np.count_nonzero(log_ratio < 0.0))
@@ -185,12 +175,8 @@ def play_game_sharded(
 ) -> GameResult:
     """Sharded `play_game`: acceptance counts merge as integer sums in fixed
     shard order, so the result depends only on (seed, trials)."""
-    sizes = split_trials(trials)
-    rngs = spawn_rngs(seed, SHARD_COUNT)
-    shots = parallel_map(
-        lambda t, rng: _play_arm_counts(params, rule, t, rng),
-        [(t, rng) for t, rng in zip(sizes, rngs)],
-        workers=workers,
+    shots = map_shards(
+        lambda t, rng: _play_arm_counts(params, rule, t, rng), trials, seed, workers
     )
     acc_fun = sum(s[0] for s in shots)
     acc_perm = sum(s[1] for s in shots)

@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Params
+from .core import Params, collision_excesses, sample_function_count_matrix
 
 
 class PreconditionError(ValueError):
@@ -106,33 +106,20 @@ def _sample_excess(
 ) -> np.ndarray:
     """Collision-excess values of `trials` uniform transcripts, via their
     multinomial bucket counts."""
-    b = params.num_replies
-    q = params.q
-    counts = rng.multinomial(q, [1.0 / b] * b, size=trials).astype(np.float64)
-    pairs = (counts * (counts - 1.0) / 2.0).sum(axis=1)
-    return pairs - comb(q, 2) / b
-
-
-def _jackknife_se(x: np.ndarray) -> float:
-    """Leave-one-out jackknife standard error of the sample mean."""
-    t = x.size
-    mean = x.mean()
-    # reduces to the classical sd/sqrt(t) for a plain mean; kept in jackknife
-    # form so the estimator stays correct if the statistic changes
-    loo = (x.sum() - x) / (t - 1)
-    return math.sqrt((t - 1) / t * np.sum((loo - loo.mean()) ** 2))
+    return collision_excesses(sample_function_count_matrix(params, trials, rng), params)
 
 
 def moments_empirical(
     params: Params, trials: int, rng: np.random.Generator
 ) -> EmpiricalMoments:
-    """Sample moments of the collision excess with jackknife standard errors."""
+    """Sample moments of the collision excess with the standard errors of the
+    sample means."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
     x = _sample_excess(params, trials, rng)
     powers = [x, x**2, x**3, x**4]
     means = [float(p.mean()) for p in powers]
-    ses = [_jackknife_se(p) for p in powers]
+    ses = [float(p.std(ddof=1) / math.sqrt(trials)) for p in powers]
     return EmpiricalMoments(*means, *ses, trials=trials)
 
 

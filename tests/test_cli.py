@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from truncperm import __version__
 from truncperm.cli import TIMING_COLUMNS, build_parser, main
 from truncperm.stream import FeistelPermutation
 
@@ -46,6 +47,78 @@ class TestParser:
         )
         assert proc.returncode == 0, proc.stderr
         assert parse_csv(proc.stdout)[0]["advantage_exact"] == "1/4"
+
+
+# value(s) to pass with each option of any subcommand
+OPTION_VALUES = {
+    "--n": ["8"], "--m": ["4"], "--q": ["16"],
+    "--n-range": ["2", "3"], "--m-range": ["0", "1"], "--q-range": ["1", "4"],
+    "--trials": ["100"], "--seed": ["3"], "--workers": ["2"],
+    "--rule": ["collision"],
+    "--count": ["64"], "--start": ["5"], "--packing": ["byte"], "--perm": ["feistel"],
+    "--balance": [], "--repetitions": ["2"],
+    "--format": ["json"], "--out": ["x.csv"],
+}
+CELLS = ["--n", "--m", "--q", "--n-range", "--m-range", "--q-range"]
+KEYSTREAM = ["--n", "--m", "--count", "--start", "--packing", "--perm"]
+READS = {
+    "exact": CELLS,
+    "bounds": CELLS,
+    "mc": CELLS + ["--trials", "--seed", "--workers"],
+    "moments": CELLS + ["--trials", "--seed"],
+    "game": CELLS + ["--trials", "--seed", "--workers", "--rule"],
+    "lemmas": ["--trials", "--seed"],
+    "stream": KEYSTREAM + ["--seed", "--balance"],
+    "bench": KEYSTREAM + ["--seed", "--repetitions"],
+}
+# provenance columns of each subcommand's rows, in order
+PROVENANCE = {
+    "exact": ["version"],
+    "bounds": ["version"],
+    "mc": ["seed", "workers", "version"],
+    "moments": ["seed", "version"],
+    "game": ["seed", "workers", "version"],
+    "lemmas": ["seed", "version"],
+    "stream": ["seed", "version"],
+    "bench": ["seed", "version"],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_takes_only_the_options_it_reads(self, command):
+        reads = READS[command] + ["--format", "--out"]
+        argv = [command] + [tok for opt in reads for tok in [opt, *OPTION_VALUES[opt]]]
+        args = build_parser().parse_args(argv)
+        for opt in reads:
+            assert getattr(args, opt[2:].replace("-", "_")) is not None, opt
+        for opt in sorted(set(OPTION_VALUES) - set(reads)):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, opt, *OPTION_VALUES[opt]])
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n", "3", "--m", "1", "--q", "4"],
+        ["bounds", "--n", "3", "--m", "1", "--q", "4"],
+        ["mc", "--n", "3", "--m", "1", "--q", "4", "--trials", "50"],
+        ["moments", "--n", "3", "--m", "1", "--q", "4", "--trials", "50"],
+        ["game", "--n", "3", "--m", "1", "--q", "4", "--trials", "50"],
+        ["lemmas"],
+        ["stream", "--n", "8", "--m", "2", "--balance"],
+        ["bench", "--n", "8", "--m", "2", "--count", "64", "--repetitions", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_rows_end_with_provenance_then_elapsed(self, capsys, argv):
+        main(argv)
+        rows = parse_csv(capsys.readouterr().out)
+        tail = PROVENANCE[argv[0]] + ["elapsed_s"]
+        assert rows and all(list(r)[-len(tail):] == tail for r in rows)
+        assert all(r["version"] == __version__ for r in rows)
+
+    @pytest.mark.parametrize("command", ["exact", "bounds"])
+    def test_unseeded_rows_carry_no_seed_or_workers(self, capsys, command):
+        code, out = run_cli(capsys, command, "--n", "3", "--m", "1", "--q-range", "2", "3")
+        assert code == 0
+        for row in parse_csv(out):
+            assert "seed" not in row and "workers" not in row
 
 
 class TestExactCommand:
