@@ -44,6 +44,7 @@ from .moments import (
     moments_brute,
     moments_closed_form,
     moments_empirical,
+    moments_profiles,
     tail_probability_check,
     tail_witness_poly,
 )

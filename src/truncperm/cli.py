@@ -5,7 +5,7 @@ and emits one row per cell as CSV (default) or JSON.  Each subcommand takes
 only the option groups it reads (`COMMANDS`).  All randomness is seeded; rows
 echo the seed and worker count where the command takes them, so a re-run with
 the same seed and any worker count reproduces the output byte for byte apart
-from the elapsed column.
+from the timing columns (`TIMING_COLUMNS`) and the echoed worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -22,7 +23,7 @@ from functools import partial
 from . import __version__
 from .bounds import bound_report
 from .checks import run_lemma_suite
-from .core import Params, make_rng
+from .core import SHARD_COUNT, Params, make_rng
 from .exact import (
     EnumerationLimitError,
     VIA_R_GREATER,
@@ -41,9 +42,9 @@ from .game import (
 )
 from .moments import (
     PreconditionError,
-    moments_brute,
     moments_closed_form,
     moments_empirical,
+    moments_profiles,
 )
 from .stream import (
     BalanceResult,
@@ -58,7 +59,7 @@ from .stream import (
 
 # Columns excluded from golden-file comparisons (everything else is
 # reproducible given the seed).
-TIMING_COLUMNS = ("elapsed_s",)
+TIMING_COLUMNS = ("cpu_s", "elapsed_s")
 
 
 def _cells(args) -> list[tuple[int, int, int]]:
@@ -97,9 +98,21 @@ def _provenance(args) -> dict:
     return {**echoed, "version": __version__}
 
 
-def _row(args, fields: dict, t0: float) -> dict:
-    """A report row: the fields, the provenance, then the seconds since t0."""
-    return {**fields, **_provenance(args), "elapsed_s": round(time.perf_counter() - t0, 6)}
+def _clock() -> tuple[float, float]:
+    """(CPU seconds of the process, all threads counted; wall seconds)."""
+    return time.process_time(), time.perf_counter()
+
+
+def _row(args, fields: dict, t0: tuple[float, float]) -> dict:
+    """A report row: the fields, the provenance, then the CPU and wall
+    seconds since t0 (a `_clock()` reading)."""
+    cpu, wall = (now - then for now, then in zip(_clock(), t0))
+    return {
+        **fields,
+        **_provenance(args),
+        "cpu_s": round(cpu, 6),
+        "elapsed_s": round(wall, 6),
+    }
 
 
 def _sweep(args, cell_fn):
@@ -107,7 +120,7 @@ def _sweep(args, cell_fn):
     one row per cell, and ok only if every cell's is."""
     rows, ok = [], True
     for n, m, q in _cells(args):
-        t0 = time.perf_counter()
+        t0 = _clock()
         fields, cell_ok = cell_fn(args, Params(n, m, q))
         rows.append(_row(args, {"n": n, "m": m, "q": q, **fields}, t0))
         ok &= cell_ok
@@ -233,7 +246,7 @@ def moments_cell(args, p: Params):
         "brute_matches": "",
     }
     if p.num_replies**p.q <= 10**6:
-        ok = moments_brute(p) == closed
+        ok = moments_profiles(p) == closed
         fields["brute_matches"] = ok
     if args.trials >= 2:
         emp = moments_empirical(p, args.trials, make_rng(args.seed))
@@ -293,7 +306,7 @@ def game_cell(args, p: Params):
 
 def cmd_lemmas(args):
     rows, ok = [], True
-    t0 = time.perf_counter()
+    t0 = _clock()
     for res in run_lemma_suite(make_rng(args.seed), trials=args.trials):
         fields = {
             "check": res.name,
@@ -318,7 +331,7 @@ def _build_perm(args):
 
 
 def cmd_stream(args):
-    t0 = time.perf_counter()
+    t0 = _clock()
     perm = _build_perm(args)
     if args.balance:
         res: BalanceResult = balance_check(perm, args.n, args.m)
@@ -351,7 +364,7 @@ def cmd_stream(args):
 
 
 def cmd_bench(args):
-    t0 = time.perf_counter()
+    t0 = _clock()
     perm = _build_perm(args)
     cfg = StreamConfig(
         args.n, args.m, args.count, start_counter=args.start, packing=args.packing
@@ -370,6 +383,26 @@ def cmd_bench(args):
     return [_row(args, fields, t0)], True
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the trial and worker counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def default_workers() -> int:
+    """The usable cores, capped at the shard count (more threads would idle)."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, SHARD_COUNT)
+
+
 # (flags, argparse keywords) of each option group
 OPTION_GROUPS = {
     "cells": (
@@ -380,9 +413,9 @@ OPTION_GROUPS = {
         ("--m-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
         ("--q-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
     ),
-    "trials": (("--trials", dict(type=int, default=10**5)),),
+    "trials": (("--trials", dict(type=_positive_int, default=10**5)),),
     "seed": (("--seed", dict(type=int, default=0)),),
-    "workers": (("--workers", dict(type=int, default=1)),),
+    "workers": (("--workers", dict(type=_positive_int, default=default_workers())),),
     "rule": (
         ("--rule", dict(choices=("optimal", "optimal-less", "collision"), default="optimal")),
     ),

@@ -16,8 +16,9 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -228,6 +229,11 @@ def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
 #: SHARD_COUNT) only, never on how many workers execute the shards.
 SHARD_COUNT = 32
 
+#: Most cells of a count matrix drawn at once.  Drawing `trials` rows from one
+#: Generator in consecutive pieces gives the same rows, byte for byte, as one
+#: call for all of them, so the piece size changes memory, never results.
+CHUNK_CELLS = 2**16
+
 _T = TypeVar("_T")
 
 
@@ -259,13 +265,20 @@ def parallel_map(
 
 def map_shards(
     fn: Callable[[int, np.random.Generator], _T],
+    params: Params,
     trials: int,
     seed: int | None,
     workers: int = 1,
 ) -> list[_T]:
     """fn(shard_trials, rng) over the fixed shard layout of `trials`, in shard
     order: shard i gets stream i of spawn_rngs(seed, SHARD_COUNT), so the
-    results depend on (seed, trials) only, never on `workers`."""
+    results depend on (seed, trials) only, never on `workers`.
+
+    A cell whose whole trials x buckets count matrix fits in one piece
+    (`count_pieces`) runs its shards serially: a thread pool costs more than
+    it saves there."""
+    if trials * params.num_replies <= CHUNK_CELLS:
+        workers = 1
     shards = zip(split_trials(trials), spawn_rngs(seed, SHARD_COUNT))
     return parallel_map(fn, list(shards), workers=workers)
 
@@ -330,15 +343,36 @@ def sample_permutation_count_matrix(
     return rng.multivariate_hypergeometric(colors, params.q, size=trials)
 
 
+def count_pieces(
+    sampler: Callable[[Params, int, np.random.Generator], np.ndarray],
+    params: Params,
+    trials: int,
+    rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """The (trials x buckets) count matrix of `sampler`, in consecutive pieces
+    of max(1, CHUNK_CELLS // buckets) rows, all drawn from rng."""
+    rows = max(1, CHUNK_CELLS // params.num_replies)
+    for done in range(0, trials, rows):
+        yield sampler(params, min(rows, trials - done), rng)
+
+
 # ---------------------------------------------------------------------------
 # Statistics of (trials x buckets) count matrices, one value per row
+
+
+@lru_cache(maxsize=16)
+def _log_ratio_terms(params: Params) -> tuple[np.ndarray, float]:
+    """The lookup table and the log denominator of `log_likelihood_ratios`,
+    built once per cell rather than once per piece of its count matrix."""
+    table = log_all_distinct_table(params.q, params.bucket_capacity)
+    table.flags.writeable = False
+    return table, all_distinct_prob(params.q, params.domain_size, mode=LOG)
 
 
 def log_likelihood_ratios(counts: np.ndarray, params: Params) -> np.ndarray:
     """`log_likelihood_ratio` of every row of a count matrix, by table lookup;
     LOG_ZERO where some count exceeds the bucket capacity."""
-    table = log_all_distinct_table(params.q, params.bucket_capacity)
-    log_denom = all_distinct_prob(params.q, params.domain_size, mode=LOG)
+    table, log_denom = _log_ratio_terms(params)
     return table[counts].sum(axis=1) - log_denom
 
 

@@ -24,6 +24,7 @@ from .core import (
     CountProfile,
     Params,
     all_distinct_prob,
+    count_pieces,
     likelihood_ratio,
     log_all_distinct_table,
     log_likelihood_ratios,
@@ -329,9 +330,8 @@ def mc_advantage(
     b = params.num_replies
     q = params.q
     if trials * b <= 5 * 10**7:
-        log_ratio = log_likelihood_ratios(
-            sample_function_count_matrix(params, trials, rng), params
-        )
+        pieces = count_pieces(sample_function_count_matrix, params, trials, rng)
+        log_ratio = np.concatenate([log_likelihood_ratios(c, params) for c in pieces])
     else:
         # large reply alphabets: histogram one sampled transcript at a time
         table = log_all_distinct_table(q, params.bucket_capacity)
@@ -365,6 +365,7 @@ def mc_advantage_sharded(
     count, by fixing the shard layout and merging in shard order."""
     shots = map_shards(
         lambda t, rng: mc_advantage(params, t, rng, identity=identity),
+        params,
         trials,
         seed,
         workers,

@@ -19,6 +19,7 @@ from .core import (
     CountProfile,
     Params,
     collision_excesses,
+    count_pieces,
     likelihood_ratio,
     log_likelihood_ratios,
     map_shards,
@@ -135,14 +136,16 @@ def _play_arm_counts(
 
     Each arm samples fresh bucket-count vectors per trial: multinomial for the
     uniform function, multivariate hypergeometric for a fresh truncated
-    permutation (the exact pushforwards of the per-transcript samplers).
+    permutation (the exact pushforwards of the per-transcript samplers).  The
+    whole function arm is drawn first, then the whole permutation arm, each in
+    pieces (`count_pieces`).
     """
-    fun_counts = sample_function_count_matrix(params, trials, rng)
-    perm_counts = sample_permutation_count_matrix(params, trials, rng)
-    return (
-        _accept_counts(rule, fun_counts, params),
-        _accept_counts(rule, perm_counts, params),
-    )
+
+    def accepts(sampler) -> int:
+        pieces = count_pieces(sampler, params, trials, rng)
+        return sum(_accept_counts(rule, c, params) for c in pieces)
+
+    return accepts(sample_function_count_matrix), accepts(sample_permutation_count_matrix)
 
 
 def _result_from_accepts(acc_fun: int, acc_perm: int, trials: int) -> GameResult:
@@ -176,7 +179,7 @@ def play_game_sharded(
     """Sharded `play_game`: acceptance counts merge as integer sums in fixed
     shard order, so the result depends only on (seed, trials)."""
     shots = map_shards(
-        lambda t, rng: _play_arm_counts(params, rule, t, rng), trials, seed, workers
+        lambda t, rng: _play_arm_counts(params, rule, t, rng), params, trials, seed, workers
     )
     acc_fun = sum(s[0] for s in shots)
     acc_perm = sum(s[1] for s in shots)

@@ -21,7 +21,14 @@ from math import comb
 
 import numpy as np
 
-from .core import Params, collision_excesses, sample_function_count_matrix
+from .core import (
+    Params,
+    collision_excess_of_profile,
+    collision_excesses,
+    count_pieces,
+    sample_function_count_matrix,
+)
+from .exact import enumerate_profiles
 
 
 class PreconditionError(ValueError):
@@ -101,12 +108,28 @@ def moments_brute(params: Params, transcript_ceiling: int = 10**7) -> MomentSet:
     return pair_collision_moments_brute(params.q, params.num_replies, transcript_ceiling)
 
 
+def moments_profiles(params: Params) -> MomentSet:
+    """The same averages as `moments_brute`, summed over count profiles: each
+    profile's powers of the statistic weighted by its number of transcripts,
+    so a cell costs one term per partition of q rather than per transcript."""
+    sums = [Fraction(0)] * 4
+    for w in enumerate_profiles(params):
+        x = collision_excess_of_profile(w.profile, params)
+        acc = Fraction(w.transcript_count)
+        for k in range(4):
+            acc *= x
+            sums[k] += acc
+    total = params.num_replies**params.q
+    return MomentSet(*(s / total for s in sums), p=Fraction(1, params.num_replies))
+
+
 def _sample_excess(
     params: Params, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Collision-excess values of `trials` uniform transcripts, via their
-    multinomial bucket counts."""
-    return collision_excesses(sample_function_count_matrix(params, trials, rng), params)
+    multinomial bucket counts (drawn in pieces, `count_pieces`)."""
+    pieces = count_pieces(sample_function_count_matrix, params, trials, rng)
+    return np.concatenate([collision_excesses(c, params) for c in pieces])
 
 
 def moments_empirical(

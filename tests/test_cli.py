@@ -1,13 +1,19 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import truncperm.cli as cli
+import truncperm.exact
+import truncperm.game
+import truncperm.moments
 from truncperm import __version__
 from truncperm.cli import TIMING_COLUMNS, build_parser, main
+from truncperm.core import CHUNK_CELLS, SHARD_COUNT
 from truncperm.stream import FeistelPermutation
 
 
@@ -109,7 +115,7 @@ class TestOptions:
     def test_rows_end_with_provenance_then_elapsed(self, capsys, argv):
         main(argv)
         rows = parse_csv(capsys.readouterr().out)
-        tail = PROVENANCE[argv[0]] + ["elapsed_s"]
+        tail = PROVENANCE[argv[0]] + ["cpu_s", "elapsed_s"]
         assert rows and all(list(r)[-len(tail):] == tail for r in rows)
         assert all(r["version"] == __version__ for r in rows)
 
@@ -119,6 +125,133 @@ class TestOptions:
         assert code == 0
         for row in parse_csv(out):
             assert "seed" not in row and "workers" not in row
+
+
+class TestCountOptions:
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--n", "4", "--m", "2", "--q", "4", "--trials", "0"],
+        ["mc", "--n", "4", "--m", "2", "--q", "4", "--trials", "-3"],
+        ["game", "--n", "4", "--m", "2", "--q", "4", "--trials", "0"],
+        ["moments", "--n", "4", "--m", "2", "--q", "4", "--trials", "0"],
+        ["lemmas", "--trials", "0"],
+        ["mc", "--n", "4", "--m", "2", "--q", "4", "--workers", "0"],
+        ["game", "--n", "4", "--m", "2", "--q", "4", "--workers", "-5"],
+        ["mc", "--n", "4", "--m", "2", "--q", "4", "--workers", "two"],
+    ], ids=" ".join)
+    def test_rejects_non_positive_counts(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"argument {argv[-2]}: must be a positive integer, got '{argv[-1]}'" in err
+
+    def test_one_moments_trial_skips_the_sampled_moments(self, capsys):
+        code, out = run_cli(capsys, "moments", "--n", "4", "--m", "2", "--q", "4",
+                            "--trials", "1")
+        assert code == 0 and "emp_m2" not in parse_csv(out)[0]
+
+    def test_workers_default_to_the_usable_cores(self, monkeypatch):
+        for command in ("mc", "game"):
+            assert build_parser().parse_args([command]).workers == cli.default_workers()
+        if hasattr(os, "sched_getaffinity"):
+            assert cli.default_workers() == min(len(os.sched_getaffinity(0)), SHARD_COUNT)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)),
+                            raising=False)
+        assert cli.default_workers() == SHARD_COUNT
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli.default_workers() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli.default_workers() == 1
+
+
+# Result columns of small seeded cells as printed with one draw per shard and
+# arm on one worker; drawing in pieces and on threads must not change them.
+GOLDEN_ROWS = [
+    # 1024 buckets: 64-row pieces, 100 trials per shard
+    ("mc --n 12 --m 2 --q 64 --trials 3200 --seed 4",
+     {"trials": "3200", "estimate": "0.14634071852701258",
+      "std_err": "0.003486054455585856"}),
+    # 782 trials x 2**16 buckets per shard: the per-trial path of mc_advantage
+    ("mc --n 17 --m 1 --q 256 --trials 25024 --seed 4",
+     {"trials": "25024", "estimate": "0.17175433031966517",
+      "std_err": "0.0014815538521661105"}),
+    # 256 buckets: 256-row pieces, 300 trials per shard and arm
+    ("game --n 12 --m 4 --q 24 --trials 9600 --seed 4",
+     {"rule": "likelihood_greater_than_one", "threshold": "", "trials_per_arm": "9600",
+      "accept_rate_function": "0.7235416666666666",
+      "accept_rate_permutation": "0.7464583333333333",
+      "empirical_advantage": "0.022916666666666696", "std_err": "0.006367948822639409",
+      "exact_advantage": "0.02411436390984696", "within_4se": "True"}),
+    ("game --n 12 --m 4 --q 24 --trials 9600 --seed 4 --rule collision",
+     {"rule": "collision_threshold", "threshold": "0.14684175155588414",
+      "trials_per_arm": "9600", "accept_rate_function": "0.2764583333333333",
+      "accept_rate_permutation": "0.25354166666666667",
+      "empirical_advantage": "0.02291666666666664", "std_err": "0.006367948822639409",
+      "exact_advantage": "0.02411436390984696", "within_4se": "True"}),
+    # one Generator, 5000 = 78 * 64 + 8 rows
+    ("moments --n 12 --m 2 --q 64 --trials 5000 --seed 4",
+     {"m1": "0.0", "m2": "1.966827392578125", "m3": "2.201156437397003",
+      "m4": "15.029339885164518", "m2_exact": "64449/32768",
+      "m4_exact": "258202093149/17179869184", "brute_matches": "",
+      "emp_m2": "1.9435640625", "emp_m4": "15.239313038635254", "emp_trials": "5000",
+      "empirical_within_4se": "True"}),
+    # 8**6 transcripts: the cross-check runs
+    ("moments --n 4 --m 1 --q 6 --trials 3000 --seed 2",
+     {"m1": "0.0", "m2": "1.640625", "m3": "2.87109375", "m4": "17.867431640625",
+      "m2_exact": "105/64", "m4_exact": "73185/4096", "brute_matches": "True",
+      "emp_m2": "1.5302083333333334", "emp_m4": "15.484054036458334",
+      "emp_trials": "3000", "empirical_within_4se": "True"}),
+]
+
+
+# each golden cell at the default worker count, and at 1 and 3 workers where
+# the command takes --workers (moments draws from one Generator)
+GOLDEN_RUNS = [
+    (argv + extra, want)
+    for argv, want in GOLDEN_ROWS
+    for extra in ([""] if argv.startswith("moments") else ["", " --workers 1", " --workers 3"])
+]
+
+
+class TestSeededRows:
+    @pytest.mark.parametrize("argv,want", GOLDEN_RUNS, ids=[a for a, _ in GOLDEN_RUNS])
+    def test_result_columns_are_unchanged(self, capsys, argv, want):
+        code, out = run_cli(capsys, *argv.split())
+        row = parse_csv(out)[0]
+        assert code == 0
+        assert {k: row[k] for k in want} == want
+        if not argv.startswith("moments"):
+            given = argv.split("--workers ")[1:]
+            assert row["workers"] == (given[0] if given else str(cli.default_workers()))
+
+    @pytest.mark.parametrize("argv", [
+        "mc --n 12 --m 2 --q 64 --trials 3200",
+        "mc --n 18 --m 1 --q 8 --trials 64",
+        "game --n 12 --m 4 --q 24 --rule collision --trials 3200",
+        "game --n 18 --m 1 --q 8 --trials 64",
+        "moments --n 12 --m 2 --q 64 --trials 3000",
+        "moments --n 18 --m 1 --q 8 --trials 20",
+    ])
+    def test_no_draw_exceeds_a_piece(self, capsys, monkeypatch, argv):
+        argv = argv.split()
+        calls = []
+
+        def recording(sampler):
+            def draw(params, trials, rng):
+                calls.append((trials, params.num_replies))
+                return sampler(params, trials, rng)
+            return draw
+
+        for module in (truncperm.exact, truncperm.game, truncperm.moments):
+            for name in ("sample_function_count_matrix", "sample_permutation_count_matrix"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        main(argv)
+        capsys.readouterr()
+        assert len(calls) > 1
+        assert all(rows * b <= CHUNK_CELLS or rows == 1 for rows, b in calls), calls
+        assert sum(rows for rows, _ in calls) == int(argv[-1]) * (2 if argv[0] == "game" else 1)
 
 
 class TestExactCommand:

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import truncperm.core as core
 from truncperm.core import (
+    CHUNK_CELLS,
     LOG_ZERO,
     CountProfile,
     Params,
     all_distinct_prob,
     collision_excess,
+    count_pieces,
     count_profile,
     likelihood_ratio,
     log_likelihood_ratio,
     make_rng,
+    map_shards,
     sample_function_count_matrix,
     sample_function_transcript,
     sample_permutation_count_matrix,
@@ -229,3 +233,62 @@ class TestSamplers:
         b = spawn_rngs(42, 4)
         for x, y in zip(a, b):
             assert np.array_equal(x.integers(0, 100, 10), y.integers(0, 100, 10))
+
+
+class TestCountPieces:
+    @pytest.mark.parametrize("sampler,params,trials,piece_rows", [
+        # 4096 buckets: 16-row pieces, 625 = 39 * 16 + 1 rows
+        (sample_function_count_matrix, Params(16, 4, 1024), 625, 16),
+        # 128 buckets: 512-row pieces, 3125 = 6 * 512 + 53 rows
+        (sample_permutation_count_matrix, Params(14, 7, 128), 3125, 512),
+    ])
+    def test_pieces_equal_one_draw(self, sampler, params, trials, piece_rows):
+        whole_rng, pieces_rng = make_rng(31), make_rng(31)
+        whole = sampler(params, trials, whole_rng)
+        pieces = list(count_pieces(sampler, params, trials, pieces_rng))
+        assert trials % piece_rows
+        assert [len(c) for c in pieces[:-1]] == [piece_rows] * (trials // piece_rows)
+        assert len(pieces[-1]) == trials % piece_rows
+        assert np.array_equal(np.concatenate(pieces), whole)
+        # both Generators are left in the same state
+        assert whole_rng.bit_generator.state == pieces_rng.bit_generator.state
+
+    def test_one_row_per_piece_past_the_cap(self):
+        p = Params(18, 1, 8)  # 2**17 buckets, more than CHUNK_CELLS
+        pieces = list(count_pieces(sample_function_count_matrix, p, 3, make_rng(2)))
+        assert [c.shape for c in pieces] == [(1, p.num_replies)] * 3
+
+    def test_statistics_of_pieces_equal_the_whole(self):
+        p = Params(16, 4, 1024)
+        whole = sample_function_count_matrix(p, 625, make_rng(5))
+        pieces = list(count_pieces(sample_function_count_matrix, p, 625, make_rng(5)))
+        for stat in (core.log_likelihood_ratios, core.collision_excesses):
+            joined = np.concatenate([stat(c, p) for c in pieces])
+            assert joined.tobytes() == stat(whole, p).tobytes()
+
+
+class TestMapShards:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class Recorder(core.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", Recorder)
+        return started
+
+    def test_one_piece_cell_starts_no_pool(self, pools):
+        p = Params(10, 4, 256)  # 64 buckets
+        trials = CHUNK_CELLS // p.num_replies  # the whole matrix is one piece
+        out = map_shards(lambda t, rng: t, p, trials, seed=1, workers=4)
+        assert sum(out) == trials and pools == []
+
+    def test_larger_cell_uses_the_workers(self, pools):
+        p = Params(10, 4, 256)
+        trials = CHUNK_CELLS // p.num_replies + 1
+        serial = map_shards(lambda t, rng: rng.integers(1 << 30), p, trials, 1, 1)
+        threaded = map_shards(lambda t, rng: rng.integers(1 << 30), p, trials, 1, 4)
+        assert serial == threaded and pools == [4]

@@ -12,6 +12,7 @@ from truncperm.moments import (
     moments_brute,
     moments_closed_form,
     moments_empirical,
+    moments_profiles,
     pair_collision_moments,
     pair_collision_moments_brute,
     tail_probability_check,
@@ -41,6 +42,16 @@ class TestClosedForm:
         p = Params(3, 1, 4)
         assert moments_closed_form(p) == pair_collision_moments(4, 4)
         assert moments_brute(p) == pair_collision_moments_brute(4, 4)
+
+    def test_profile_sum_equals_transcript_walk(self):
+        # both depend on (q, buckets) only: every pair with buckets**q <= 10**4
+        cells = [(q, 1 << k) for k in range(1, 14) for q in range(1, 14)
+                 if (1 << k) ** q <= 10**4]
+        assert len(cells) == 37
+        for q, buckets in cells:
+            p = Params(buckets.bit_length() + 3, 4, q)
+            assert p.num_replies == buckets
+            assert moments_profiles(p) == pair_collision_moments_brute(q, buckets), p
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
