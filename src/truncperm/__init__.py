@@ -7,13 +7,8 @@ from .core import (
     CountProfile,
     Params,
     all_distinct_prob,
-    collision_excess,
-    count_profile,
     likelihood_ratio,
-    log_likelihood_ratio,
     make_rng,
-    sample_function_transcript,
-    sample_permutation_transcript,
     spawn_rngs,
 )
 from .exact import (

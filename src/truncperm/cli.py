@@ -47,6 +47,7 @@ from .moments import (
     moments_profiles,
 )
 from .stream import (
+    BALANCE_MAX_N,
     BalanceResult,
     ExplicitPermutation,
     FeistelPermutation,
@@ -62,6 +63,11 @@ from .stream import (
 TIMING_COLUMNS = ("cpu_s", "elapsed_s")
 
 
+class UsageError(Exception):
+    """Option values that parse but describe no valid run; `main` prints
+    the message and exits 2, like argparse."""
+
+
 def _cells(args) -> list[tuple[int, int, int]]:
     """Expand the cell sweep; ranges are inclusive and clipped to validity."""
     if args.n_range:
@@ -69,7 +75,7 @@ def _cells(args) -> list[tuple[int, int, int]]:
     elif args.n is not None:
         ns = [args.n]
     else:
-        raise SystemExit("error: provide --n or --n-range")
+        raise UsageError("provide --n or --n-range")
     cells = []
     for n in ns:
         if args.m_range:
@@ -87,7 +93,7 @@ def _cells(args) -> list[tuple[int, int, int]]:
                 if 1 <= q <= (1 << n):
                     cells.append((n, m, q))
     if not cells:
-        raise SystemExit("error: empty sweep")
+        raise UsageError("empty sweep")
     return cells
 
 
@@ -274,7 +280,7 @@ def _build_rule(args, params: Params) -> Rule:
         return optimal_rule("less")
     if args.rule == "collision":
         return Rule(COLLISION_THRESHOLD, collision_rule_threshold(params))
-    raise SystemExit(f"error: unknown rule {args.rule!r}")
+    raise UsageError(f"unknown rule {args.rule!r}")
 
 
 def game_cell(args, p: Params):
@@ -324,16 +330,32 @@ def cmd_lemmas(args):
 
 def _build_perm(args):
     if args.n is None or args.m is None:
-        raise SystemExit(f"error: {args.command} needs --n and --m")
-    if args.perm == "explicit":
-        return ExplicitPermutation(args.n, args.seed)
-    return FeistelPermutation(args.n, args.seed.to_bytes(8, "little", signed=True))
+        raise UsageError(f"{args.command} needs --n and --m")
+    if not 0 <= args.m < args.n:
+        raise UsageError(f"need 0 <= m < n, got m={args.m}, n={args.n}")
+    try:
+        if args.perm == "explicit":
+            return ExplicitPermutation(args.n, args.seed)
+        return FeistelPermutation(args.n, args.seed.to_bytes(8, "little", signed=True))
+    except ValueError as exc:  # the backend's width check
+        raise UsageError(str(exc)) from exc
+
+
+def _stream_config(args) -> StreamConfig:
+    try:
+        return StreamConfig(
+            args.n, args.m, args.count, start_counter=args.start, packing=args.packing
+        )
+    except ValueError as exc:  # the counter range
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_stream(args):
     t0 = _clock()
     perm = _build_perm(args)
     if args.balance:
+        if args.n > BALANCE_MAX_N:
+            raise UsageError(f"--balance needs n <= {BALANCE_MAX_N}")
         res: BalanceResult = balance_check(perm, args.n, args.m)
         fields = {
             "n": args.n,
@@ -342,9 +364,7 @@ def cmd_stream(args):
             "balance": "pass" if res.passed else "fail",
         }
         return [_row(args, fields, t0)], res.passed
-    cfg = StreamConfig(
-        args.n, args.m, args.count, start_counter=args.start, packing=args.packing
-    )
+    cfg = _stream_config(args)
     out = args.out or "stream.bin"
     with open(out, "wb") as fh:
         written = generate_stream(perm, cfg, fh)
@@ -366,9 +386,7 @@ def cmd_stream(args):
 def cmd_bench(args):
     t0 = _clock()
     perm = _build_perm(args)
-    cfg = StreamConfig(
-        args.n, args.m, args.count, start_counter=args.start, packing=args.packing
-    )
+    cfg = _stream_config(args)
     res = throughput_bench(perm, cfg, repetitions=args.repetitions)
     fields = {
         "n": args.n,
@@ -384,7 +402,7 @@ def cmd_bench(args):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the trial and worker counts."""
+    """argparse type of the trial, worker and repetition counts."""
     try:
         value = int(text)
     except ValueError:
@@ -428,7 +446,7 @@ OPTION_GROUPS = {
         ("--perm", dict(choices=("explicit", "feistel"), default="explicit")),
     ),
     "balance": (("--balance", dict(action="store_true")),),
-    "repetitions": (("--repetitions", dict(type=int, default=5)),),
+    "repetitions": (("--repetitions", dict(type=_positive_int, default=5)),),
 }
 
 
@@ -453,7 +471,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rows, ok = args.fn(args)
-    except PreconditionError as exc:
+    except (PreconditionError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(rows, args)

@@ -4,10 +4,11 @@ A transcript is the length-q sequence of (n-m)-bit replies an adversary
 collects from the oracle; its count profile (the bucket histogram, sorted
 descending) carries everything the optimal distinguisher needs.
 
-Two arithmetic modes are supported throughout: ``exact`` works with
-`fractions.Fraction` and never rounds, ``log`` works with extended-range
-floats in log space (compensated summation via `math.fsum`) so that long
-products of near-one factors neither underflow nor lose precision.
+The likelihood ratio of a single profile is exact (`fractions.Fraction`).
+Sampled transcripts are handled as count matrices, one row of bucket counts
+per transcript, whose ratios are evaluated in log space by table lookup
+(`log_likelihood_ratios`) so that long products of near-one factors neither
+underflow nor lose precision.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -66,10 +67,6 @@ class Params:
     def bucket_capacity(self) -> int:
         """How many n-bit values share one reply prefix, 2**m."""
         return 1 << self.m
-
-
-#: A transcript is any length-q integer sequence with entries in [0, num_replies).
-Transcript = Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -138,24 +135,6 @@ def log_all_distinct_table(k_max: int, alpha: int) -> np.ndarray:
     return table
 
 
-def check_transcript(transcript: Transcript, params: Params) -> np.ndarray:
-    """Validate a transcript against params; returns it as an int64 array."""
-    arr = np.asarray(transcript, dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] != params.q:
-        raise ValueError(f"transcript must have length q={params.q}")
-    if arr.size and (arr.min() < 0 or arr.max() >= params.num_replies):
-        raise ValueError("transcript entries must lie in [0, 2**(n-m))")
-    return arr
-
-
-def count_profile(transcript: Transcript, params: Params) -> CountProfile:
-    """Histogram of the transcript, sorted descending, zero counts dropped."""
-    arr = check_transcript(transcript, params)
-    counts = np.bincount(arr, minlength=1)
-    parts = tuple(sorted((int(c) for c in counts if c), reverse=True))
-    return CountProfile(parts)
-
-
 def collision_excess_of_profile(profile: CountProfile, params: Params) -> Fraction:
     """Number of colliding reply pairs minus its uniform-oracle mean,
     computed from the count profile."""
@@ -163,51 +142,19 @@ def collision_excess_of_profile(profile: CountProfile, params: Params) -> Fracti
     return pairs - Fraction(comb(params.q, 2), params.num_replies)
 
 
-def collision_excess(transcript: Transcript, params: Params) -> Fraction:
-    """Number of equal unordered reply pairs minus C(q,2)/2**(n-m)."""
-    return collision_excess_of_profile(count_profile(transcript, params), params)
-
-
-def likelihood_ratio(
-    profile: CountProfile, params: Params, mode: str = EXACT
-) -> Fraction | float:
+def likelihood_ratio(profile: CountProfile, params: Params) -> Fraction:
     """Probability of observing a transcript with this profile under the
     truncated-permutation oracle, divided by its probability under the uniform
-    oracle.
-
-    Exactly 0 whenever some count exceeds the bucket capacity 2**m.  In log
-    mode the i-th numerator factor is paired with the i-th denominator factor
-    before summation, so neither side under- or overflows on its own.
+    oracle.  Exactly 0 whenever some count exceeds the bucket capacity 2**m.
     """
     if profile.total != params.q:
         raise ValueError(f"profile sums to {profile.total}, expected q={params.q}")
-    if mode == EXACT:
-        if not profile.fits_capacity(params):
-            return Fraction(0)
-        num = Fraction(1)
-        for d in profile.parts:
-            num *= all_distinct_prob(d, params.bucket_capacity)
-        return num / all_distinct_prob(params.q, params.domain_size)
-    if mode == LOG:
-        return log_likelihood_ratio(profile, params)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def log_likelihood_ratio(profile: CountProfile, params: Params) -> float:
-    """Log of `likelihood_ratio`; LOG_ZERO when the ratio is exactly 0."""
-    if profile.total != params.q:
-        raise ValueError(f"profile sums to {profile.total}, expected q={params.q}")
-    cap = params.bucket_capacity
-    dom = params.domain_size
     if not profile.fits_capacity(params):
-        return LOG_ZERO
-    terms = []
-    i = 0  # denominator factor index; exactly q factors on each side
+        return Fraction(0)
+    num = Fraction(1)
     for d in profile.parts:
-        for j in range(d):
-            terms.append(math.log1p(-j / cap) - math.log1p(-i / dom))
-            i += 1
-    return math.fsum(terms)
+        num *= all_distinct_prob(d, params.bucket_capacity)
+    return num / all_distinct_prob(params.q, params.domain_size)
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +184,6 @@ CHUNK_CELLS = 2**16
 _T = TypeVar("_T")
 
 
-def split_trials(total: int, shards: int = SHARD_COUNT) -> list[int]:
-    """Split a trial budget into at most `shards` positive chunks,
-    deterministically."""
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    base, extra = divmod(total, shards)
-    sizes = [base + (1 if i < extra else 0) for i in range(shards)]
-    return [s for s in sizes if s > 0]
-
-
-def parallel_map(
-    fn: Callable[..., _T], args_list: Iterable[tuple], workers: int = 1
-) -> list[_T]:
-    """Apply fn over argument tuples, preserving input order.
-
-    The merge order is fixed by the input order, so results are identical for
-    any worker count.
-    """
-    args_list = list(args_list)
-    if workers <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        return [f.result() for f in futures]
-
-
 def map_shards(
     fn: Callable[[int, np.random.Generator], _T],
     params: Params,
@@ -271,56 +192,28 @@ def map_shards(
     workers: int = 1,
 ) -> list[_T]:
     """fn(shard_trials, rng) over the fixed shard layout of `trials`, in shard
-    order: shard i gets stream i of spawn_rngs(seed, SHARD_COUNT), so the
-    results depend on (seed, trials) only, never on `workers`.
+    order: the trials split into at most SHARD_COUNT positive shards, the
+    first `trials % SHARD_COUNT` one larger, and shard i gets stream i of
+    spawn_rngs(seed, SHARD_COUNT).  The results depend on (seed, trials)
+    only, never on `workers`.
 
     A cell whose whole trials x buckets count matrix fits in one piece
     (`count_pieces`) runs its shards serially: a thread pool costs more than
     it saves there."""
-    if trials * params.num_replies <= CHUNK_CELLS:
-        workers = 1
-    shards = zip(split_trials(trials), spawn_rngs(seed, SHARD_COUNT))
-    return parallel_map(fn, list(shards), workers=workers)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    base, extra = divmod(trials, SHARD_COUNT)
+    rngs = spawn_rngs(seed, SHARD_COUNT)
+    shards = [(base + (i < extra), rngs[i]) for i in range(min(trials, SHARD_COUNT))]
+    if trials * params.num_replies <= CHUNK_CELLS or workers <= 1:
+        return [fn(t, rng) for t, rng in shards]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, t, rng) for t, rng in shards]
+        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
-# Transcript samplers for the two hypotheses
-
-
-def sample_function_transcript(params: Params, rng: np.random.Generator) -> np.ndarray:
-    """Replies of a uniformly random function: q iid uniform symbols."""
-    return rng.integers(0, params.num_replies, size=params.q, dtype=np.int64)
-
-
-def sample_permutation_transcript(
-    params: Params, rng: np.random.Generator
-) -> np.ndarray:
-    """Replies of a fresh truncated random permutation on distinct queries.
-
-    Draws q distinct n-bit values uniformly without replacement (rejection
-    against a seen-set; taking iid draws in order of first occurrence is
-    exactly a without-replacement sequence) and keeps the top n-m bits of
-    each.  No 2**n-entry table is ever materialized.
-    """
-    dom = params.domain_size
-    q = params.q
-    seen: set[int] = set()
-    out = np.empty(q, dtype=np.int64)
-    filled = 0
-    while filled < q:
-        missing = q - filled
-        # inflate the batch by the current hit rate so one pass usually suffices
-        hit = 1.0 - len(seen) / dom
-        size = max(8, int(missing / max(hit, 1.0 / dom) * 1.2) + 4)
-        for x in rng.integers(0, dom, size=size):
-            x = int(x)
-            if x not in seen:
-                seen.add(x)
-                out[filled] = x >> params.m
-                filled += 1
-                if filled == q:
-                    break
-    return out
+# Count-matrix samplers for the two hypotheses
 
 
 def sample_function_count_matrix(
@@ -370,14 +263,16 @@ def _log_ratio_terms(params: Params) -> tuple[np.ndarray, float]:
 
 
 def log_likelihood_ratios(counts: np.ndarray, params: Params) -> np.ndarray:
-    """`log_likelihood_ratio` of every row of a count matrix, by table lookup;
-    LOG_ZERO where some count exceeds the bucket capacity."""
+    """Log of `likelihood_ratio` for every row of a count matrix (one row of
+    bucket counts per transcript), by table lookup; LOG_ZERO where some count
+    exceeds the bucket capacity."""
     table, log_denom = _log_ratio_terms(params)
     return table[counts].sum(axis=1) - log_denom
 
 
 def collision_excesses(counts: np.ndarray, params: Params) -> np.ndarray:
-    """`collision_excess` of every row of a count matrix, in floats."""
+    """`collision_excess_of_profile` of every row of a count matrix, in
+    floats."""
     c = counts.astype(np.float64)
     pairs = (c * (c - 1.0) / 2.0).sum(axis=1)
     return pairs - comb(params.q, 2) / params.num_replies

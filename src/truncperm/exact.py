@@ -23,10 +23,10 @@ import numpy as np
 from .core import (
     CountProfile,
     Params,
+    _log_ratio_terms,
     all_distinct_prob,
     count_pieces,
     likelihood_ratio,
-    log_all_distinct_table,
     log_likelihood_ratios,
     map_shards,
     sample_function_count_matrix,
@@ -333,15 +333,14 @@ def mc_advantage(
         pieces = count_pieces(sample_function_count_matrix, params, trials, rng)
         log_ratio = np.concatenate([log_likelihood_ratios(c, params) for c in pieces])
     else:
-        # large reply alphabets: histogram one sampled transcript at a time
-        table = log_all_distinct_table(q, params.bucket_capacity)
+        # large reply alphabets: histogram one sampled transcript at a time,
+        # over its at most q distinct replies
+        table, log_denom = _log_ratio_terms(params)
         log_num = np.empty(trials)
         for i in range(trials):
             draws = rng.integers(0, b, size=q)
-            occ = np.bincount(draws)
-            occ = occ[occ > 0]
-            log_num[i] = table[occ].sum()
-        log_ratio = log_num - all_distinct_prob(q, params.domain_size, mode="log")
+            log_num[i] = table[np.unique(draws, return_counts=True)[1]].sum()
+        log_ratio = log_num - log_denom
     with np.errstate(invalid="ignore"):
         ratio = np.exp(log_ratio)
     ratio = np.nan_to_num(ratio, nan=0.0)

@@ -16,11 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    CountProfile,
     Params,
     collision_excesses,
     count_pieces,
-    likelihood_ratio,
     log_likelihood_ratios,
     map_shards,
     sample_function_count_matrix,
@@ -90,12 +88,6 @@ def _acceptance(rule: Rule, params: Params):
     return lambda _, excess: excess < 0
 
 
-def accepts_profile(rule: Rule, profile: CountProfile, params: Params) -> bool:
-    """Exact-arithmetic acceptance decision for a count profile."""
-    pairs = sum(math.comb(d, 2) for d in profile.parts)
-    return _acceptance(rule, params)(pairs, likelihood_ratio(profile, params) - 1)
-
-
 def rule_advantage_exact(
     params: Params, rule: Rule, profile_ceiling: int = DEFAULT_PROFILE_CEILING
 ) -> Fraction:
@@ -136,7 +128,7 @@ def _play_arm_counts(
 
     Each arm samples fresh bucket-count vectors per trial: multinomial for the
     uniform function, multivariate hypergeometric for a fresh truncated
-    permutation (the exact pushforwards of the per-transcript samplers).  The
+    permutation (the exact pushforwards of per-transcript sampling).  The
     whole function arm is drawn first, then the whole permutation arm, each in
     pieces (`count_pieces`).
     """

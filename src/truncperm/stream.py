@@ -238,11 +238,15 @@ class BalanceResult:
     histogram: np.ndarray  # occurrences of each (n-m)-bit prefix
 
 
+#: Widest permutation `balance_check` sweeps in full.
+BALANCE_MAX_N = 24
+
+
 def balance_check(perm, n: int, m: int) -> BalanceResult:
     """Sweep every n-bit input; a bijection must hit each (n-m)-bit prefix
     exactly 2**m times."""
-    if n > 24:
-        raise ValueError("full sweep limited to n <= 24")
+    if n > BALANCE_MAX_N:
+        raise ValueError(f"full sweep limited to n <= {BALANCE_MAX_N}")
     width = n - m
     hist = np.zeros(1 << width, dtype=np.int64)
     for words in _blocks(perm, n, 0, 1 << n):

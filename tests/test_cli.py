@@ -37,8 +37,8 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_requires_cell(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["exact"])
+        assert main(["exact"]) == 2
+        assert capsys.readouterr() == ("", "error: provide --n or --n-range\n")
 
     def test_no_arithmetic_mode_option(self, capsys):
         with pytest.raises(SystemExit):
@@ -144,6 +144,34 @@ class TestCountOptions:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert f"argument {argv[-2]}: must be a positive integer, got '{argv[-1]}'" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        ("bench --n 8 --m 4 --repetitions 0",
+         "argument --repetitions: must be a positive integer, got '0'"),
+        ("stream --n 21 --m 4", "error: explicit permutation supports 1 <= n <= 20"),
+        ("stream --n 8 --m 4 --count 1000",
+         "error: counter range exceeds 2**n: inputs must stay distinct"),
+        ("bench --n 8 --m 4 --count 1000",
+         "error: counter range exceeds 2**n: inputs must stay distinct"),
+        ("stream --n 26 --m 4 --perm feistel --balance", "error: --balance needs n <= 24"),
+        ("bench --n 9 --m 4 --perm feistel", "error: Feistel needs an even bit width"),
+        ("stream --n 8 --m 9 --balance", "error: need 0 <= m < n, got m=9, n=8"),
+        ("stream --m 4", "error: stream needs --n and --m"),
+        ("exact --q 3", "error: provide --n or --n-range"),
+        ("mc --n 3 --q 100 --trials 10", "error: empty sweep"),
+    ])
+    def test_input_errors_exit_2(self, capsys, tmp_path, monkeypatch, argv, message):
+        # one line on stderr, nothing on stdout, and no stream file written
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:  # argparse's own rejection
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(message)
+        assert err.count("error") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_moments_trial_skips_the_sampled_moments(self, capsys):
         code, out = run_cli(capsys, "moments", "--n", "4", "--m", "2", "--q", "4",

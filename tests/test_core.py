@@ -10,23 +10,33 @@ import truncperm.core as core
 from truncperm.core import (
     CHUNK_CELLS,
     LOG_ZERO,
+    SHARD_COUNT,
     CountProfile,
     Params,
     all_distinct_prob,
-    collision_excess,
+    collision_excess_of_profile,
+    collision_excesses,
     count_pieces,
-    count_profile,
     likelihood_ratio,
-    log_likelihood_ratio,
+    log_likelihood_ratios,
     make_rng,
     map_shards,
     sample_function_count_matrix,
-    sample_function_transcript,
     sample_permutation_count_matrix,
-    sample_permutation_transcript,
     spawn_rngs,
 )
-from truncperm.exact import enumerate_profiles
+from truncperm.exact import enumerate_profiles, mc_advantage_sharded
+from truncperm.game import optimal_rule, play_game_sharded
+
+
+def count_rows(*rows):
+    """A count matrix with the given rows of bucket counts."""
+    return np.array(rows, dtype=np.int64)
+
+
+def row_parts(counts):
+    """Count profile parts of each row of a count matrix."""
+    return [tuple(sorted((int(d) for d in row if d), reverse=True)) for row in counts]
 
 
 class TestParams:
@@ -70,18 +80,11 @@ class TestAllDistinctProb:
 
 
 class TestCountProfile:
-    def test_histogram(self):
-        assert count_profile([0, 0, 1], Params(2, 1, 3)).parts == (2, 1)
-        assert count_profile([3, 3, 3, 3], Params(2, 0, 4)).parts == (4,)
-        assert count_profile([0, 1, 2], Params(3, 1, 3)).parts == (1, 1, 1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            count_profile([0, 2], Params(2, 1, 2))  # symbol out of range
-        with pytest.raises(ValueError):
-            count_profile([0], Params(2, 1, 2))  # wrong length
-        with pytest.raises(ValueError):
             CountProfile((1, 2))  # not descending
+        with pytest.raises(ValueError):
+            CountProfile((2, 0))  # zero part
 
     def test_fits_capacity(self):
         p = Params(2, 1, 3)
@@ -90,10 +93,15 @@ class TestCountProfile:
 
 
 class TestCollisionExcess:
-    def test_examples(self):
-        assert collision_excess([0, 0], Params(2, 1, 2)) == Fraction(1, 2)
-        assert collision_excess([0, 0, 1], Params(3, 1, 3)) == Fraction(1, 4)
-        assert collision_excess([0, 0, 1], Params(2, 1, 3)) == Fraction(-1, 2)
+    @pytest.mark.parametrize("params,row,want", [
+        (Params(2, 1, 2), [2, 0], Fraction(1, 2)),
+        (Params(3, 1, 3), [2, 1, 0, 0], Fraction(1, 4)),
+        (Params(2, 1, 3), [2, 1], Fraction(-1, 2)),
+    ])
+    def test_examples(self, params, row, want):
+        (parts,) = row_parts([row])
+        assert collision_excess_of_profile(CountProfile(parts), params) == want
+        assert collision_excesses(count_rows(row), params).tolist() == [float(want)]
 
     @given(st.data())
     @settings(max_examples=50)
@@ -106,9 +114,12 @@ class TestCollisionExcess:
         t = data.draw(
             st.lists(st.integers(0, p.num_replies - 1), min_size=q, max_size=q)
         )
-        prof = count_profile(t, p)
-        lhs = collision_excess(t, p) + Fraction(math.comb(q, 2), p.num_replies)
-        assert lhs == sum(math.comb(d, 2) for d in prof.parts)
+        counts = np.bincount(t, minlength=p.num_replies)[None, :]
+        (parts,) = row_parts(counts)
+        excess = collision_excess_of_profile(CountProfile(parts), p)
+        pairs = sum(math.comb(d, 2) for d in parts)
+        assert excess + Fraction(math.comb(q, 2), p.num_replies) == pairs
+        assert math.isclose(collision_excesses(counts, p)[0], excess, abs_tol=1e-12)
 
 
 class TestLikelihoodRatio:
@@ -122,21 +133,38 @@ class TestLikelihoodRatio:
         with pytest.raises(ValueError):
             likelihood_ratio(CountProfile((1,)), Params(2, 1, 2))
 
-    def test_log_mode_pairs_factors(self):
+    def test_log_rows(self):
         p = Params(2, 1, 2)
-        assert math.isclose(
-            log_likelihood_ratio(CountProfile((1, 1)), p), math.log(4 / 3)
-        )
-        assert likelihood_ratio(CountProfile((1, 1)), p, mode="log") == pytest.approx(
-            math.log(4 / 3)
-        )
-        assert log_likelihood_ratio(CountProfile((3,)), Params(2, 1, 3)) == LOG_ZERO
+        got = log_likelihood_ratios(count_rows([1, 1], [0, 2]), p)
+        assert math.isclose(got[0], math.log(4 / 3))
+        assert math.isclose(got[1], math.log(2 / 3))
+        assert log_likelihood_ratios(count_rows([3, 0]), Params(2, 1, 3)).tolist() == [
+            LOG_ZERO
+        ]
 
-    def test_log_mode_survives_large_q(self):
+    def test_log_rows_match_fraction_reference(self, small_cell_ratios):
+        # at every profile of every small cell: the log of the exact ratio,
+        # or LOG_ZERO where it is exactly 0
+        assert len(small_cell_ratios) == 428
+        for p, profiles in small_cell_ratios:
+            counts = np.zeros((len(profiles), p.num_replies), dtype=np.int64)
+            for row, (pw, _) in zip(counts, profiles):
+                row[: pw.profile.k] = pw.profile.parts
+            for got, (pw, ratio) in zip(log_likelihood_ratios(counts, p), profiles):
+                if ratio == 0:
+                    assert got == LOG_ZERO, (p, pw.profile)
+                else:
+                    want = math.log(ratio)
+                    assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (
+                        p, pw.profile, got, want
+                    )
+
+    def test_log_rows_survive_large_q(self):
         # the denominator alone would underflow a float here
         p = Params(40, 20, 4096)
-        val = log_likelihood_ratio(CountProfile((1,) * 4096), p)
-        assert math.isfinite(val)
+        counts = np.zeros((1, p.num_replies), dtype=np.int64)
+        counts[0, : p.q] = 1
+        assert math.isfinite(log_likelihood_ratios(counts, p)[0])
 
     @pytest.mark.parametrize("n,m,q", [(2, 1, 2), (2, 1, 3), (3, 1, 4), (3, 2, 3)])
     def test_mean_ratio_is_one(self, n, m, q):
@@ -150,67 +178,59 @@ class TestLikelihoodRatio:
 
 
 class TestSamplers:
-    def test_function_symbol_frequencies(self):
+    def test_function_bucket_frequencies(self):
         p = Params(4, 2, 3)
-        rng = make_rng(11)
-        trials = 10**5
-        draws = np.concatenate(
-            [sample_function_transcript(p, rng) for _ in range(trials // p.q + 1)]
-        )[: trials]
-        counts = np.bincount(draws, minlength=p.num_replies)
-        expect = trials / p.num_replies
-        sigma = math.sqrt(trials * (1 / p.num_replies) * (1 - 1 / p.num_replies))
+        trials = 10**5 // p.q + 1
+        counts = sample_function_count_matrix(p, trials, make_rng(11)).sum(axis=0)
+        draws = trials * p.q
+        expect = draws / p.num_replies
+        sigma = math.sqrt(draws * (1 / p.num_replies) * (1 - 1 / p.num_replies))
         assert np.all(np.abs(counts - expect) < 5 * sigma)
 
     def test_single_bit_mean(self):
         p = Params(6, 5, 64)
-        rng = make_rng(3)
-        draws = np.concatenate(
-            [sample_function_transcript(p, rng) for _ in range(1000)]
-        )
-        mean = draws.mean()
-        se = 0.5 / math.sqrt(draws.size)
+        counts = sample_function_count_matrix(p, 1000, make_rng(3))
+        draws = counts.sum()
+        mean = counts[:, 1].sum() / draws
+        se = 0.5 / math.sqrt(draws)
         assert abs(mean - 0.5) < 5 * se
 
     def test_single_query(self):
         p = Params(3, 1, 1)
-        t = sample_function_transcript(p, make_rng(0))
-        assert t.shape == (1,) and 0 <= t[0] < p.num_replies
+        for sampler in (sample_function_count_matrix, sample_permutation_count_matrix):
+            counts = sampler(p, 50, make_rng(0))
+            assert counts.shape == (50, p.num_replies)
+            assert set(map(tuple, np.sort(counts, axis=1))) == {(0, 0, 0, 1)}
 
     def test_permutation_full_codebook_is_balanced(self):
         p = Params(2, 1, 4)
-        rng = make_rng(9)
-        for _ in range(50):
-            prof = count_profile(sample_permutation_transcript(p, rng), p)
-            assert prof.parts == (2, 2)
+        counts = sample_permutation_count_matrix(p, 50, make_rng(9))
+        assert counts.tolist() == [[2, 2]] * 50
 
     def test_permutation_collision_probability(self):
         # at (2, 1, 2) a shared prefix happens with probability exactly 1/3
         p = Params(2, 1, 2)
-        rng = make_rng(5)
         trials = 3 * 10**4
-        hits = sum(
-            count_profile(sample_permutation_transcript(p, rng), p).parts == (2,)
-            for _ in range(trials)
-        )
+        counts = sample_permutation_count_matrix(p, trials, make_rng(5))
+        hits = int(np.count_nonzero(counts.max(axis=1) == 2))
         se = math.sqrt((1 / 3) * (2 / 3) / trials)
         assert abs(hits / trials - 1 / 3) < 5 * se
 
-    def test_permutation_profile_distribution_matches_ratio(self):
-        # empirical profile frequencies match R(profile) * uniform probability
+    @pytest.mark.parametrize("sampler,weight", [
+        (sample_function_count_matrix, lambda pw, p: pw.probability),
+        (sample_permutation_count_matrix,
+         lambda pw, p: pw.probability * likelihood_ratio(pw.profile, p)),
+    ], ids=["function", "permutation"])
+    def test_profile_distribution(self, sampler, weight):
+        # empirical profile frequencies match the uniform probability of the
+        # profile, times R(profile) under the permutation
         p = Params(4, 2, 4)
-        expected = {
-            pw.profile.parts: float(
-                pw.probability * likelihood_ratio(pw.profile, p)
-            )
-            for pw in enumerate_profiles(p)
-        }
-        rng = make_rng(17)
+        expected = {pw.profile.parts: float(weight(pw, p)) for pw in enumerate_profiles(p)}
         trials = 10**5
-        seen: dict = {}
-        for _ in range(trials):
-            parts = count_profile(sample_permutation_transcript(p, rng), p).parts
-            seen[parts] = seen.get(parts, 0) + 1
+        rows, freq = np.unique(np.sort(sampler(p, trials, make_rng(17)), axis=1),
+                               axis=0, return_counts=True)
+        seen = dict(zip(row_parts(rows), freq.tolist()))
+        assert set(seen) <= set(expected)
         for parts, prob in expected.items():
             if prob == 0:
                 assert parts not in seen
@@ -292,3 +312,19 @@ class TestMapShards:
         serial = map_shards(lambda t, rng: rng.integers(1 << 30), p, trials, 1, 1)
         threaded = map_shards(lambda t, rng: rng.integers(1 << 30), p, trials, 1, 4)
         assert serial == threaded and pools == [4]
+
+    def test_shard_layout(self):
+        p = Params(4, 2, 4)
+        sizes = map_shards(lambda t, rng: t, p, 2 * SHARD_COUNT + 6, seed=0)
+        assert sizes == [3] * 6 + [2] * (SHARD_COUNT - 6)
+        assert map_shards(lambda t, rng: t, p, 5, seed=0) == [1] * 5
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        p = Params(4, 2, 4)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            map_shards(lambda t, rng: t, p, trials, seed=0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mc_advantage_sharded(p, trials, 0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            play_game_sharded(p, optimal_rule(), trials, 0)

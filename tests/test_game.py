@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from truncperm.core import (
-    CountProfile,
     Params,
     all_distinct_prob,
     collision_excess_of_profile,
     log_all_distinct_table,
+    log_likelihood_ratios,
     make_rng,
 )
 from truncperm.exact import EnumerationLimitError, exact_advantage
@@ -18,7 +18,6 @@ from truncperm.game import (
     LIKELIHOOD_GREATER,
     Rule,
     _accept_counts,
-    accepts_profile,
     collision_rule_threshold,
     optimal_rule,
     play_game,
@@ -51,24 +50,30 @@ class TestRuleConstruction:
             collision_rule_threshold(Params(4, 2, 1))
 
 
-class TestAcceptsProfile:
+def accepts_row(rule, row, params):
+    """`_accept_counts` on a one-row count matrix, as a bool."""
+    return bool(_accept_counts(rule, np.array([row], dtype=np.int64), params))
+
+
+class TestAcceptCounts:
     def test_likelihood_directions(self):
         p = Params(2, 1, 2)
-        assert accepts_profile(optimal_rule(), CountProfile((1, 1)), p)
-        assert not accepts_profile(optimal_rule(), CountProfile((2,)), p)
-        assert accepts_profile(optimal_rule("less"), CountProfile((2,)), p)
+        assert accepts_row(optimal_rule(), [1, 1], p)
+        assert not accepts_row(optimal_rule(), [2, 0], p)
+        assert accepts_row(optimal_rule("less"), [0, 2], p)
 
     def test_tie_at_one_rejected_both_ways(self):
-        # single query: R = 1 for the only profile
+        # single query: R = 1 for the only profile, and its log is exactly 0.0
         p = Params(2, 1, 1)
-        assert not accepts_profile(optimal_rule(), CountProfile((1,)), p)
-        assert not accepts_profile(optimal_rule("less"), CountProfile((1,)), p)
+        assert log_likelihood_ratios(np.array([[1, 0]]), p).tolist() == [0.0]
+        assert not accepts_row(optimal_rule(), [1, 0], p)
+        assert not accepts_row(optimal_rule("less"), [1, 0], p)
 
     def test_collision_rule(self):
         p = Params(2, 1, 2)
         rule = Rule(COLLISION_THRESHOLD, 0.1)
-        assert accepts_profile(rule, CountProfile((2,)), p)  # excess 1/2
-        assert not accepts_profile(rule, CountProfile((1, 1)), p)  # excess -1/2
+        assert accepts_row(rule, [2, 0], p)  # excess 1/2
+        assert not accepts_row(rule, [1, 1], p)  # excess -1/2
 
 
 class TestRuleAdvantageExact:
