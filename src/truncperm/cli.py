@@ -279,7 +279,10 @@ def _build_rule(args, params: Params) -> Rule:
     if args.rule == "optimal-less":
         return optimal_rule("less")
     if args.rule == "collision":
-        return Rule(COLLISION_THRESHOLD, collision_rule_threshold(params))
+        try:
+            return Rule(COLLISION_THRESHOLD, collision_rule_threshold(params))
+        except ValueError as exc:  # q = 1: no pairs to threshold
+            raise UsageError(f"--rule collision: {exc}") from exc
     raise UsageError(f"unknown rule {args.rule!r}")
 
 

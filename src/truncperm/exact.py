@@ -35,8 +35,8 @@ from .core import (
 VIA_R_GREATER = "via_R_greater"
 VIA_R_LESS = "via_R_less"
 
-DEFAULT_PROFILE_CEILING = 10**6
-DEFAULT_TRANSCRIPT_CEILING = 10**7
+PROFILE_CEILING = 10**6  # most count profiles an exact sum may visit
+TRANSCRIPT_CEILING = 10**7  # most transcripts a brute-force oracle may list
 
 
 class EnumerationLimitError(ValueError):
@@ -123,27 +123,21 @@ def transcript_count(parts: tuple[int, ...], params: Params) -> int:
     return placements * orderings
 
 
-def enumerate_profiles(
-    params: Params, max_part: int | None = None
-) -> Iterator[ProfileWeight]:
+def enumerate_profiles(params: Params) -> Iterator[ProfileWeight]:
     """Every count profile of a q-query transcript with exact weight.
 
-    Profiles whose largest count exceeds the bucket capacity are included by
-    default (they carry probability mass and likelihood ratio 0); pass
-    `max_part` to restrict.  Transcript counts sum to num_replies**q over the
-    unrestricted enumeration.
+    Profiles whose largest count exceeds the bucket capacity are included
+    (they carry probability mass and likelihood ratio 0), so the transcript
+    counts sum to num_replies**q.
     """
-    if max_part is None:
-        max_part = params.q
     denom = params.num_replies**params.q
-    for parts in _partitions(params.q, max_part, params.num_replies):
+    for parts in _partitions(params.q, params.q, params.num_replies):
         yield ProfileWeight(CountProfile(parts), transcript_count(parts, params), denom)
 
 
 def advantage_sum(
     params: Params,
     accept: Callable[[int, int], bool],
-    max_part: int | None = None,
     positive_only: bool = False,
 ) -> tuple[Fraction, int]:
     """Sum of probability * (R - 1) over the count profiles `accept` takes,
@@ -156,7 +150,7 @@ def advantage_sum(
     common denominator b**q * (2**n)_q; a single Fraction is built at the end.
     `accept(pairs, excess)` decides from the profile's pair count
     sum_d C(d, 2) and that sign.  Profiles are those of
-    `enumerate_profiles(params, max_part)`, in another order.
+    `enumerate_profiles(params)`, in another order.
 
     The walk picks each distinct part size d with its multiplicity c in one
     level, so it recurses once per distinct size (under sqrt(2q) levels), and
@@ -164,7 +158,8 @@ def advantage_sum(
     count = q!/prod d! * perm(b, k)/prod c!.  When `accept` takes only
     profiles with excess > 0 (`positive_only`), a prefix with product P and
     r queries left is skipped once b**q * P * 2**(m*r) <= (2**n)_q: as
-    (2**m)_d <= 2**(m*d), no completion of it has R > 1.
+    (2**m)_d <= 2**(m*d), no completion of it has R > 1.  A part above the
+    capacity 2**m makes P = 0, so that side never enters one.
     """
     q = params.q
     b = params.num_replies
@@ -214,66 +209,54 @@ def advantage_sum(
                 elif rest <= (d - 1) * (room - c):
                     walk(rest, d - 1, k + c, p, w, x)
 
-    walk(q, q if max_part is None else max_part, 0, 1, 1, 0)
+    walk(q, q, 0, 1, 1, 0)
     return Fraction(total, scale * uniform), walked
 
 
-def _max_part(params: Params, identity: str) -> int:
-    """Largest count the identity's sum visits: the greater-side sum only
-    needs profiles within capacity (everything else has ratio 0)."""
-    if identity == VIA_R_GREATER:
-        return min(params.q, params.bucket_capacity)
-    if identity == VIA_R_LESS:
-        return params.q
-    raise ValueError(f"unknown identity {identity!r}")
-
-
-def profile_budget(
-    params: Params,
-    identity: str = VIA_R_GREATER,
-    profile_ceiling: int = DEFAULT_PROFILE_CEILING,
-) -> int:
+def profile_budget(params: Params, identity: str = VIA_R_GREATER) -> int:
     """Number of profiles `exact_advantage` sums for this identity, counted in
-    closed form; raises EnumerationLimitError when it exceeds the ceiling."""
-    estimated = count_partitions(params.q, _max_part(params, identity), params.num_replies)
-    if estimated > profile_ceiling:
+    closed form; raises EnumerationLimitError above PROFILE_CEILING.  The
+    greater side counts only profiles within capacity (every other profile
+    has ratio 0), the less side every profile."""
+    if identity == VIA_R_GREATER:
+        max_part = min(params.q, params.bucket_capacity)
+    elif identity == VIA_R_LESS:
+        max_part = params.q
+    else:
+        raise ValueError(f"unknown identity {identity!r}")
+    estimated = count_partitions(params.q, max_part, params.num_replies)
+    if estimated > PROFILE_CEILING:
         raise EnumerationLimitError(
-            f"{estimated} profiles exceed ceiling {profile_ceiling}; "
+            f"{estimated} profiles exceed ceiling {PROFILE_CEILING}; "
             "use mc_advantage for an estimate"
         )
     return estimated
 
 
-def exact_advantage(
-    params: Params,
-    identity: str = VIA_R_GREATER,
-    profile_ceiling: int = DEFAULT_PROFILE_CEILING,
-) -> AdvantageResult:
+def exact_advantage(params: Params, identity: str = VIA_R_GREATER) -> AdvantageResult:
     """Distinguishing advantage, exactly, by summation over count profiles.
 
     `identity` selects which of the two equivalent expectations is summed:
     E max{R-1, 0} (VIA_R_GREATER) or E max{1-R, 0} (VIA_R_LESS); the results
-    are equal.  The greater-side sum only needs profiles within capacity,
+    are equal.  The greater-side sum only reaches profiles within capacity,
     which keeps e.g. the m=0 birthday case feasible for large q, and skips
     every subtree that cannot reach R > 1; the less-side sum walks every
     profile, so the two stay independent checks of each other.  The cell is
-    refused before any enumeration when its profile count exceeds the ceiling.
+    refused before any enumeration when its profile count exceeds
+    PROFILE_CEILING.
     """
-    profiles = profile_budget(params, identity, profile_ceiling)
-    max_part = _max_part(params, identity)
+    profiles = profile_budget(params, identity)
     if identity == VIA_R_GREATER:
         value, walked = advantage_sum(
-            params, lambda _, excess: excess > 0, max_part, positive_only=True
+            params, lambda _, excess: excess > 0, positive_only=True
         )
     else:
-        value, walked = advantage_sum(params, lambda _, excess: excess < 0, max_part)
+        value, walked = advantage_sum(params, lambda _, excess: excess < 0)
         value = -value
     return AdvantageResult(value, identity, profiles, walked)
 
 
-def brute_force_advantage(
-    params: Params, transcript_ceiling: int = DEFAULT_TRANSCRIPT_CEILING
-) -> AdvantageResult:
+def brute_force_advantage(params: Params) -> AdvantageResult:
     """Distinguishing advantage by explicit iteration over all transcripts.
 
     Independent of the partition-based route: the histogram of every single
@@ -282,9 +265,9 @@ def brute_force_advantage(
     b = params.num_replies
     q = params.q
     total_transcripts = b**q
-    if total_transcripts > transcript_ceiling:
+    if total_transcripts > TRANSCRIPT_CEILING:
         raise EnumerationLimitError(
-            f"{total_transcripts} transcripts exceed ceiling {transcript_ceiling}"
+            f"{total_transcripts} transcripts exceed ceiling {TRANSCRIPT_CEILING}"
         )
     tallies: dict[tuple[int, ...], int] = {}
     for t in itertools.product(range(b), repeat=q):
@@ -311,22 +294,17 @@ def profile_score(profile: CountProfile, params: Params) -> float:
 
 
 def mc_advantage(
-    params: Params,
-    trials: int,
-    rng: np.random.Generator,
-    identity: str = VIA_R_LESS,
+    params: Params, trials: int, rng: np.random.Generator
 ) -> MonteCarloEstimate:
     """Unbiased Monte Carlo estimate of the advantage from uniform transcripts.
 
-    Averages max{1-R, 0} (or max{R-1, 0}) over sampled transcripts; the
+    Averages max{1-R, 0} over sampled transcripts; the
     likelihood ratio is evaluated in log space via table lookup on the bucket
     counts.  Reports the sample mean with its standard error (absent for a
     single trial).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if identity not in (VIA_R_GREATER, VIA_R_LESS):
-        raise ValueError(f"unknown identity {identity!r}")
     b = params.num_replies
     q = params.q
     if trials * b <= 5 * 10**7:
@@ -344,10 +322,7 @@ def mc_advantage(
     with np.errstate(invalid="ignore"):
         ratio = np.exp(log_ratio)
     ratio = np.nan_to_num(ratio, nan=0.0)
-    if identity == VIA_R_LESS:
-        values = np.maximum(1.0 - ratio, 0.0)
-    else:
-        values = np.maximum(ratio - 1.0, 0.0)
+    values = np.maximum(1.0 - ratio, 0.0)
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
     return MonteCarloEstimate(mean, std_err, trials)
@@ -358,16 +333,11 @@ def mc_advantage_sharded(
     trials: int,
     seed: int | None,
     workers: int = 1,
-    identity: str = VIA_R_LESS,
 ) -> MonteCarloEstimate:
     """Sharded `mc_advantage`: deterministic in (seed, trials), for any worker
     count, by fixing the shard layout and merging in shard order."""
     shots = map_shards(
-        lambda t, rng: mc_advantage(params, t, rng, identity=identity),
-        params,
-        trials,
-        seed,
-        workers,
+        lambda t, rng: mc_advantage(params, t, rng), params, trials, seed, workers
     )
     # merge sums, not means, so the float result is order-fixed
     s = math.fsum(e.mean * e.trials for e in shots)

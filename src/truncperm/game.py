@@ -25,9 +25,10 @@ from .core import (
     sample_permutation_count_matrix,
 )
 from .exact import (
-    DEFAULT_PROFILE_CEILING,
+    VIA_R_GREATER,
     VIA_R_LESS,
     advantage_sum,
+    exact_advantage,
     profile_budget,
 )
 
@@ -76,28 +77,20 @@ def collision_rule_threshold(params: Params) -> float:
     )
 
 
-def _acceptance(rule: Rule, params: Params):
-    """The rule as a predicate on (pairs, excess): the profile's number of
-    colliding reply pairs sum_d C(d, 2), and any number with the sign of
-    R - 1 (see `advantage_sum`)."""
-    if rule.kind == COLLISION_THRESHOLD:
-        mean = Fraction(math.comb(params.q, 2), params.num_replies)
-        return lambda pairs, _: pairs - mean > rule.threshold
-    if rule.kind == LIKELIHOOD_GREATER:
-        return lambda _, excess: excess > 0
-    return lambda _, excess: excess < 0
-
-
-def rule_advantage_exact(
-    params: Params, rule: Rule, profile_ceiling: int = DEFAULT_PROFILE_CEILING
-) -> Fraction:
+def rule_advantage_exact(params: Params, rule: Rule) -> Fraction:
     """Exact advantage of an arbitrary (possibly suboptimal) rule:
     |sum over accepted profiles of (R - 1) * probability|.  Refused, like
-    `exact_advantage`, when the cell's profile count exceeds the ceiling."""
-    profile_budget(params, VIA_R_LESS, profile_ceiling)
-    value, _ = advantage_sum(
-        params, _acceptance(rule, params), positive_only=rule.kind == LIKELIHOOD_GREATER
-    )
+    `exact_advantage`, when the cell's full profile count exceeds
+    PROFILE_CEILING.  The likelihood rules are `exact_advantage` itself; the
+    collision rule accepts a profile by its number of colliding reply pairs
+    sum_d C(d, 2) (see `advantage_sum`)."""
+    profile_budget(params, VIA_R_LESS)
+    if rule.kind == LIKELIHOOD_GREATER:
+        return exact_advantage(params, VIA_R_GREATER).value
+    if rule.kind == LIKELIHOOD_LESS:
+        return exact_advantage(params, VIA_R_LESS).value
+    mean = Fraction(math.comb(params.q, 2), params.num_replies)
+    value, _ = advantage_sum(params, lambda pairs, _: pairs - mean > rule.threshold)
     return abs(value)
 
 

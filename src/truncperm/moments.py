@@ -28,7 +28,8 @@ from .core import (
     count_pieces,
     sample_function_count_matrix,
 )
-from .exact import enumerate_profiles
+from .exact import TRANSCRIPT_CEILING, enumerate_profiles
+from .game import collision_rule_threshold
 
 
 class PreconditionError(ValueError):
@@ -82,14 +83,12 @@ def _excess(parts_counter: Counter, q: int, buckets: int) -> Fraction:
     return pairs - Fraction(comb(q, 2), buckets)
 
 
-def pair_collision_moments_brute(
-    q: int, buckets: int, transcript_ceiling: int = 10**7
-) -> MomentSet:
+def pair_collision_moments_brute(q: int, buckets: int) -> MomentSet:
     """Exhaustive oracle: averages powers of the statistic over every
-    transcript."""
+    transcript (at most TRANSCRIPT_CEILING of them)."""
     total = buckets**q
-    if total > transcript_ceiling:
-        raise ValueError(f"{total} transcripts exceed ceiling {transcript_ceiling}")
+    if total > TRANSCRIPT_CEILING:
+        raise ValueError(f"{total} transcripts exceed ceiling {TRANSCRIPT_CEILING}")
     sums = [Fraction(0)] * 4
     for t in itertools.product(range(buckets), repeat=q):
         x = _excess(Counter(t), q, buckets)
@@ -104,8 +103,8 @@ def moments_closed_form(params: Params) -> MomentSet:
     return pair_collision_moments(params.q, params.num_replies)
 
 
-def moments_brute(params: Params, transcript_ceiling: int = 10**7) -> MomentSet:
-    return pair_collision_moments_brute(params.q, params.num_replies, transcript_ceiling)
+def moments_brute(params: Params) -> MomentSet:
+    return pair_collision_moments_brute(params.q, params.num_replies)
 
 
 def moments_profiles(params: Params) -> MomentSet:
@@ -150,9 +149,16 @@ def moments_empirical(
 # Fourth-moment bound, witness polynomial, tail probability
 
 
-def _in_tail_regime(q: int, buckets: int) -> bool:
-    # q > sqrt(buckets) * 2**8, compared exactly via squares
-    return q * q > buckets * (1 << 16)
+def _require_tail_regime(params: Params) -> None:
+    """Raise PreconditionError unless q > 2**((n-m)/2 + 8), that is
+    q > sqrt(buckets) * 2**8, compared exactly via squares."""
+    b = params.num_replies
+    q = params.q
+    if q * q <= b * (1 << 16):
+        raise PreconditionError(
+            f"not applicable: requires q > 2**((n-m)/2 + 8), got q={q} with "
+            f"2**(n-m)={b}"
+        )
 
 
 @dataclass(frozen=True)
@@ -166,13 +172,9 @@ class FourthMomentCheck:
 def fourth_moment_bound_check(params: Params) -> FourthMomentCheck:
     """Closed-form check that the fourth moment stays below
     q**2 (q-1)**2 / 2**(2(n-m)), in the regime q > 2**((n-m)/2 + 8)."""
+    _require_tail_regime(params)
     b = params.num_replies
     q = params.q
-    if not _in_tail_regime(q, b):
-        raise PreconditionError(
-            f"not applicable: requires q > 2**((n-m)/2 + 8), got q={q} with "
-            f"2**(n-m)={b}"
-        )
     bound = Fraction(q * q * (q - 1) ** 2, b * b)
     m4 = pair_collision_moments(q, b).m4
     return FourthMomentCheck(m4 < bound, bound, m4, bound - m4)
@@ -199,13 +201,6 @@ def markov_lower(mean_y, upper_bound):
     return mean_y / upper_bound
 
 
-def collision_tail_threshold(q: int, buckets: int) -> float:
-    """The tail cutoff sqrt(q(q-1)) / (10 * sqrt(buckets))."""
-    if q < 2:
-        raise ValueError("q must be >= 2 (no pairs otherwise)")
-    return math.sqrt(q * (q - 1)) / (10.0 * math.sqrt(buckets))
-
-
 @dataclass(frozen=True)
 class TailCheck:
     estimate: float
@@ -218,18 +213,13 @@ class TailCheck:
 def tail_probability_check(
     params: Params, trials: int, rng: np.random.Generator
 ) -> TailCheck:
-    """Monte Carlo confirmation that the collision excess exceeds its tail
-    cutoff with probability > 1/400 (4-standard-error margin)."""
-    b = params.num_replies
-    q = params.q
-    if not _in_tail_regime(q, b):
-        raise PreconditionError(
-            f"not applicable: requires q > 2**((n-m)/2 + 8), got q={q} with "
-            f"2**(n-m)={b}"
-        )
+    """Monte Carlo confirmation that the collision excess exceeds the
+    collision rule's cutoff (`collision_rule_threshold`) with probability
+    > 1/400 (4-standard-error margin)."""
+    _require_tail_regime(params)
     if trials < 10**5:
         raise PreconditionError("trials must be >= 1e5 to resolve 1/400")
-    threshold = collision_tail_threshold(q, b)
+    threshold = collision_rule_threshold(params)
     x = _sample_excess(params, trials, rng)
     hits = float(np.mean(x > threshold))
     se = math.sqrt(max(hits * (1.0 - hits), 1e-12) / trials)

@@ -159,6 +159,8 @@ class TestCountOptions:
         ("stream --m 4", "error: stream needs --n and --m"),
         ("exact --q 3", "error: provide --n or --n-range"),
         ("mc --n 3 --q 100 --trials 10", "error: empty sweep"),
+        ("game --n 4 --m 1 --q 1 --rule collision --trials 10",
+         "error: --rule collision: q must be >= 2 (a single reply has no pairs)"),
     ])
     def test_input_errors_exit_2(self, capsys, tmp_path, monkeypatch, argv, message):
         # one line on stderr, nothing on stdout, and no stream file written

@@ -12,7 +12,7 @@ from truncperm.core import (
     log_likelihood_ratios,
     make_rng,
 )
-from truncperm.exact import EnumerationLimitError, exact_advantage
+from truncperm.exact import PROFILE_CEILING, EnumerationLimitError, exact_advantage
 from truncperm.game import (
     COLLISION_THRESHOLD,
     LIKELIHOOD_GREATER,
@@ -100,8 +100,9 @@ class TestRuleAdvantageExact:
         assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, math.inf)) == 0
 
     def test_ceiling(self):
-        with pytest.raises(EnumerationLimitError):
-            rule_advantage_exact(Params(8, 4, 200), optimal_rule(), profile_ceiling=5)
+        # the full count is over the ceiling, though the greater side's is not
+        with pytest.raises(EnumerationLimitError, match=f"exceed ceiling {PROFILE_CEILING};"):
+            rule_advantage_exact(Params(8, 4, 200), optimal_rule())
 
     def test_huge_cell_refused_immediately(self):
         # the profile count is p(4096) restricted to 256 parts, about 5e66

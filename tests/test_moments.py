@@ -6,7 +6,6 @@ import pytest
 from truncperm.core import Params, make_rng
 from truncperm.moments import (
     PreconditionError,
-    collision_tail_threshold,
     fourth_moment_bound_check,
     markov_lower,
     moments_brute,
@@ -140,13 +139,6 @@ class TestMarkovLower:
 
 
 class TestTailProbability:
-    def test_threshold_value(self):
-        assert collision_tail_threshold(512, 2) == pytest.approx(
-            math.sqrt(512 * 511) / (10 * math.sqrt(2))
-        )
-        with pytest.raises(ValueError):
-            collision_tail_threshold(1, 2)
-
     def test_check_passes_in_regime(self):
         res = tail_probability_check(Params(10, 9, 512), 10**5, make_rng(19))
         assert res.passes
