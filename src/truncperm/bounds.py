@@ -2,8 +2,8 @@
 
 Each published bound is evaluated as a pure function of (n, m, q), faithful to
 its source formula: values may exceed 1 (capping happens only in
-`best_known_upper`), and bounds whose asymptotic constant is unpublished take
-the constant as an explicit parameter and carry a reference-only flag.
+`best_known_upper`), and bounds whose asymptotic constant is unpublished are
+evaluated with that constant set to 1 and carry a reference-only flag.
 
 Fractional powers of two are computed in floats; everything else is exact
 where the formula is rational.
@@ -76,16 +76,14 @@ def hall_upper(n: int, m: int, q: int) -> float:
     return 5.0 * x ** (2.0 / 3.0) + 0.5 * x**3 / 2.0 ** ((n - 7 * m) / 2)
 
 
-def bellare_impagliazzo_upper(n: int, m: int, q: int, c: float = 1.0) -> FlaggedBound:
-    """The 1999 bound c * n * q / 2**((n+m)/2).
+def bellare_impagliazzo_upper(n: int, m: int, q: int) -> FlaggedBound:
+    """Reference value n * q / 2**((n+m)/2) for the 1999 bound.
 
-    The published constant is an unspecified O(n) factor; c defaults to 1 and
-    the result is reference-only.  Valid flag requires
+    The published constant is an unspecified O(n) factor; this evaluates with
+    constant 1 and is reference-only.  Valid flag requires
     2**(n-m) < q < 2**((n+m)/2).
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    value = c * n * q / float(_pow2_half(n + m))
+    value = float(n) * q / float(_pow2_half(n + m))
     valid = (1 << (n - m)) < q and q * q < (1 << (n + m))
     return FlaggedBound(value, valid)
 
@@ -169,7 +167,7 @@ class BoundReport:
     theta_envelope: Scalar
 
 
-def bound_report(n: int, m: int, q: int, bi_constant: float = 1.0) -> BoundReport:
+def bound_report(n: int, m: int, q: int) -> BoundReport:
     """All closed-form bounds for one parameter triple."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
@@ -184,7 +182,7 @@ def bound_report(n: int, m: int, q: int, bi_constant: float = 1.0) -> BoundRepor
         birthday_upper=birthday_upper(n, q),
         hall_lower_ref=hall_lower_reference(n, m, q),
         hall_upper=hall_upper(n, m, q),
-        bi_upper=bellare_impagliazzo_upper(n, m, q, c=bi_constant),
+        bi_upper=bellare_impagliazzo_upper(n, m, q),
         gg_upper=gilboa_gueron_upper(n, m, q),
         stam_full=stam,
         stam_simplified=stam_upper_simplified(n, m, q),

@@ -33,7 +33,9 @@ from .moments import (
 # (e.g. both sides 0 at k = 1)
 _EPS = 1e-9
 
-DEFAULT_ALPHAS = tuple(2**j for j in range(1, 21)) + (3, 5, 7, 100, 1000, 999983)
+# the grid of the three distinct-probability checks: k = 1 .. K_MAX per alpha
+ALPHAS = tuple(2**j for j in range(1, 21)) + (3, 5, 7, 100, 1000, 999983)
+K_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,12 @@ def _result(name, slacks, cases, violations=()) -> CheckResult:
     return CheckResult(name, worst >= -_EPS, cases, worst, tuple(violations))
 
 
-def check_distinct_prob_upper(k_max: int = 1024, alphas=DEFAULT_ALPHAS) -> CheckResult:
+def check_distinct_prob_upper() -> CheckResult:
     """ln of the all-distinct probability is at most -k(k-1)/(2 alpha)."""
     slacks = []
     cases = 0
-    for alpha in alphas:
-        top = min(k_max, alpha)
+    for alpha in ALPHAS:
+        top = min(K_MAX, alpha)
         table = log_all_distinct_table(top, alpha)
         k = np.arange(1, top + 1, dtype=np.float64)
         rhs = -k * (k - 1.0) / (2.0 * alpha)
@@ -102,19 +104,20 @@ def check_distinct_prob_upper(k_max: int = 1024, alphas=DEFAULT_ALPHAS) -> Check
     return _result("distinct_prob_upper", slacks, cases)
 
 
-def check_log1m_lower(step: float = 1e-3) -> CheckResult:
-    """ln(1-x) >= -x - x**2 on [0, 1/2]."""
+def check_log1m_lower() -> CheckResult:
+    """ln(1-x) >= -x - x**2 on [0, 1/2], in steps of 1/1000."""
+    step = 1e-3
     x = np.arange(0.0, 0.5 + step / 2, step)
     slack = np.log1p(-x) - (-x - x**2)
     return _result("log1m_lower", [np.min(slack)], x.size)
 
 
-def check_distinct_prob_lower(k_max: int = 1024, alphas=DEFAULT_ALPHAS) -> CheckResult:
+def check_distinct_prob_lower() -> CheckResult:
     """For k <= alpha/2: ln all-distinct >= -k(k-1)/(2 alpha) - k**3/(3 alpha**2)."""
     slacks = []
     cases = 0
-    for alpha in alphas:
-        top = min(k_max, alpha // 2)
+    for alpha in ALPHAS:
+        top = min(K_MAX, alpha // 2)
         if top < 1:
             continue
         table = log_all_distinct_table(top, alpha)
@@ -125,13 +128,13 @@ def check_distinct_prob_lower(k_max: int = 1024, alphas=DEFAULT_ALPHAS) -> Check
     return _result("distinct_prob_lower", slacks, cases)
 
 
-def check_doubling(k_max: int = 1024, alphas=DEFAULT_ALPHAS) -> CheckResult:
+def check_doubling() -> CheckResult:
     """Doubling inequality: the score ln W + pairs/alpha at (2k, 2 alpha) is
     at least twice the score at (k, alpha) minus (k/alpha)**2 / 2."""
     slacks = []
     cases = 0
-    for alpha in alphas:
-        top = min(k_max, alpha // 2)
+    for alpha in ALPHAS:
+        top = min(K_MAX, alpha // 2)
         if top < 1:
             continue
         small = log_all_distinct_table(top, alpha)
@@ -150,16 +153,16 @@ def _balanced_partition(q: int, buckets: int) -> tuple[int, ...]:
     return tuple(d for d in parts if d > 0)
 
 
-def check_profile_score_maximizer(pairs=((2, 1), (3, 2), (3, 1), (4, 2)),
-                                  q_max: int = 8) -> CheckResult:
-    """Exhaustive search over feasible profiles: the score is maximized by the
-    most-balanced profile, and the maximum is 0 when q < #buckets."""
+def check_profile_score_maximizer() -> CheckResult:
+    """Exhaustive search over feasible profiles with q <= 8 at four (n, m):
+    the score is maximized by the most-balanced profile, and the maximum is 0
+    when q < #buckets."""
     slacks = []
     cases = 0
-    for n, m in pairs:
+    for n, m in ((2, 1), (3, 2), (3, 1), (4, 2)):
         b = 1 << (n - m)
         cap = 1 << m
-        for q in range(1, min(q_max, b * cap) + 1):
+        for q in range(1, min(8, b * cap) + 1):
             params = Params(n, m, q)
             balanced = CountProfile(_balanced_partition(q, b))
             best = profile_score(balanced, params)
@@ -171,9 +174,8 @@ def check_profile_score_maximizer(pairs=((2, 1), (3, 2), (3, 1), (4, 2)),
     return _result("profile_score_maximizer", slacks, cases)
 
 
-def check_likelihood_exponential_bound(n_max: int = 4,
-                                       half_domain_only: bool = False) -> CheckResult:
-    """For power-of-two q: the likelihood ratio never exceeds
+def check_likelihood_exponential_bound(half_domain_only: bool = False) -> CheckResult:
+    """For n <= 4 and power-of-two q: the likelihood ratio never exceeds
     exp(q**2 / 2**(n+m+1) - excess / 2**m).
 
     The ratio and the collision excess are both functions of the count
@@ -192,7 +194,7 @@ def check_likelihood_exponential_bound(n_max: int = 4,
     slacks = []
     cases = 0
     violations = []
-    for n in range(1, n_max + 1):
+    for n in range(1, 5):
         for m in range(n):
             for q in (2, 4, 8, 16):
                 if q > (1 << n):
@@ -233,11 +235,12 @@ def check_witness_poly() -> CheckResult:
     return _result("witness_poly", slacks, xs.size + 4)
 
 
-def check_witness_poly_expectation(cells=((10, 9, 512), (12, 10, 2048))) -> CheckResult:
+def check_witness_poly_expectation() -> CheckResult:
     """E of the witness quartic applied to the normalized collision excess
-    exceeds 1/2, evaluated from the closed-form moments."""
+    exceeds 1/2, evaluated from the closed-form moments at (10, 9, 512) and
+    (12, 10, 2048)."""
     slacks = []
-    for n, m, q in cells:
+    for n, m, q in ((10, 9, 512), (12, 10, 2048)):
         b = 1 << (n - m)
         mom = pair_collision_moments(q, b)
         s2 = b / (q * (q - 1.0))  # square of the normalization scale
@@ -250,26 +253,23 @@ def check_witness_poly_expectation(cells=((10, 9, 512), (12, 10, 2048))) -> Chec
             - 25.0 / 8.0
         )
         slacks.append(expectation - 0.5)
-    return _result("witness_poly_expectation", slacks, len(cells))
+    return _result("witness_poly_expectation", slacks, len(slacks))
 
 
-def check_fourth_moment(cells=((10, 9, 1024), (13, 11, 2048))) -> CheckResult:
-    """Closed-form fourth-moment bound in the large-q regime."""
-    slacks = []
-    for n, m, q in cells:
-        res = fourth_moment_bound_check(Params(n, m, q))
-        slacks.append(float(res.margin))
-    return _result("fourth_moment_bound", slacks, len(cells))
+def check_fourth_moment() -> CheckResult:
+    """Closed-form fourth-moment bound in the large-q regime, at (10, 9, 1024)
+    and (13, 11, 2048)."""
+    cells = ((10, 9, 1024), (13, 11, 2048))
+    slacks = [float(fourth_moment_bound_check(Params(*c)).margin) for c in cells]
+    return _result("fourth_moment_bound", slacks, len(slacks))
 
 
-def check_tail_probability(rng, trials: int = 10**5,
-                           cells=((10, 9, 512),)) -> CheckResult:
-    """Monte Carlo tail bound: Pr(excess > cutoff) > 1/400 with 4-SE margin."""
-    slacks = []
-    for n, m, q in cells:
-        res = tail_probability_check(Params(n, m, q), trials, rng)
-        slacks.append(res.estimate - 4.0 * res.std_err - 1.0 / 400.0)
-    return _result("collision_tail_probability", slacks, len(cells))
+def check_tail_probability(rng, trials: int = 10**5) -> CheckResult:
+    """Monte Carlo tail bound at (10, 9, 512): Pr(excess > cutoff) > 1/400
+    with 4-SE margin."""
+    res = tail_probability_check(Params(10, 9, 512), trials, rng)
+    slack = res.estimate - 4.0 * res.std_err - 1.0 / 400.0
+    return _result("collision_tail_probability", [slack], 1)
 
 
 def run_lemma_suite(rng, trials: int = 10**5) -> list[CheckResult]:

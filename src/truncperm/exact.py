@@ -256,23 +256,29 @@ def exact_advantage(params: Params, identity: str = VIA_R_GREATER) -> AdvantageR
     return AdvantageResult(value, identity, profiles, walked)
 
 
+def transcript_tallies(q: int, buckets: int) -> dict[tuple[int, ...], int]:
+    """Number of transcripts of each count profile, found by listing all
+    buckets**q transcripts of q replies and histogramming each one (the
+    brute-force oracles' weights); refused above TRANSCRIPT_CEILING."""
+    total = buckets**q
+    if total > TRANSCRIPT_CEILING:
+        raise EnumerationLimitError(
+            f"{total} transcripts exceed ceiling {TRANSCRIPT_CEILING}"
+        )
+    return Counter(
+        tuple(sorted(Counter(t).values(), reverse=True))
+        for t in itertools.product(range(buckets), repeat=q)
+    )
+
+
 def brute_force_advantage(params: Params) -> AdvantageResult:
     """Distinguishing advantage by explicit iteration over all transcripts.
 
-    Independent of the partition-based route: the histogram of every single
-    transcript is taken directly.  Exact-rational result.
+    Independent of the partition-based route: the profile weights come from
+    `transcript_tallies`.  Exact-rational result.
     """
-    b = params.num_replies
-    q = params.q
-    total_transcripts = b**q
-    if total_transcripts > TRANSCRIPT_CEILING:
-        raise EnumerationLimitError(
-            f"{total_transcripts} transcripts exceed ceiling {TRANSCRIPT_CEILING}"
-        )
-    tallies: dict[tuple[int, ...], int] = {}
-    for t in itertools.product(range(b), repeat=q):
-        key = tuple(sorted(Counter(t).values(), reverse=True))
-        tallies[key] = tallies.get(key, 0) + 1
+    tallies = transcript_tallies(params.q, params.num_replies)
+    total_transcripts = params.num_replies**params.q
     total = Fraction(0)
     for parts, count in tallies.items():
         ratio = likelihood_ratio(CountProfile(parts), params)

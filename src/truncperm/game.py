@@ -136,9 +136,10 @@ def _play_arm_counts(
 def _result_from_accepts(acc_fun: int, acc_perm: int, trials: int) -> GameResult:
     r_fun = acc_fun / trials
     r_perm = acc_perm / trials
-    se = math.sqrt(
-        r_fun * (1.0 - r_fun) / trials + r_perm * (1.0 - r_perm) / trials
-    )
+    # plug-in binomial variances, each count held inside [1, trials - 1]: a
+    # rate of exactly 0 or 1 gets that of one accept or reject, not 0
+    held = (min(max(a, 1), trials - 1) / trials for a in (acc_fun, acc_perm))
+    se = math.sqrt(sum(r * (1.0 - r) / trials for r in held))
     return GameResult(trials, r_fun, r_perm, abs(r_perm - r_fun), se)
 
 

@@ -12,9 +12,7 @@ All closed forms work for an arbitrary bucket count, not just powers of two.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -23,12 +21,11 @@ import numpy as np
 
 from .core import (
     Params,
-    collision_excess_of_profile,
     collision_excesses,
     count_pieces,
     sample_function_count_matrix,
 )
-from .exact import TRANSCRIPT_CEILING, enumerate_profiles
+from .exact import enumerate_profiles, transcript_tallies
 from .game import collision_rule_threshold
 
 
@@ -78,25 +75,24 @@ def pair_collision_moments(q: int, buckets: int) -> MomentSet:
     return MomentSet(Fraction(0), m2, m3, m4, p)
 
 
-def _excess(parts_counter: Counter, q: int, buckets: int) -> Fraction:
-    pairs = sum(comb(d, 2) for d in parts_counter.values())
-    return pairs - Fraction(comb(q, 2), buckets)
+def _profile_moments(weights, q: int, buckets: int) -> MomentSet:
+    """Averages of the statistic's first four powers over (parts, count)
+    pairs: each profile's pairs - C(q, 2)/buckets, weighted by its number of
+    transcripts out of buckets**q."""
+    mean = Fraction(comb(q, 2), buckets)
+    sums = [Fraction(0)] * 4
+    for parts, count in weights:
+        x = sum(comb(d, 2) for d in parts) - mean
+        for k in range(4):
+            sums[k] += count * x ** (k + 1)
+    return MomentSet(*(s / buckets**q for s in sums), p=Fraction(1, buckets))
 
 
 def pair_collision_moments_brute(q: int, buckets: int) -> MomentSet:
-    """Exhaustive oracle: averages powers of the statistic over every
-    transcript (at most TRANSCRIPT_CEILING of them)."""
-    total = buckets**q
-    if total > TRANSCRIPT_CEILING:
-        raise ValueError(f"{total} transcripts exceed ceiling {TRANSCRIPT_CEILING}")
-    sums = [Fraction(0)] * 4
-    for t in itertools.product(range(buckets), repeat=q):
-        x = _excess(Counter(t), q, buckets)
-        acc = Fraction(1)
-        for k in range(4):
-            acc *= x
-            sums[k] += acc
-    return MomentSet(*(s / total for s in sums), p=Fraction(1, buckets))
+    """Exhaustive oracle: the moments over the profile weights that
+    `transcript_tallies` finds by listing every transcript (at most
+    TRANSCRIPT_CEILING of them)."""
+    return _profile_moments(transcript_tallies(q, buckets).items(), q, buckets)
 
 
 def moments_closed_form(params: Params) -> MomentSet:
@@ -108,18 +104,11 @@ def moments_brute(params: Params) -> MomentSet:
 
 
 def moments_profiles(params: Params) -> MomentSet:
-    """The same averages as `moments_brute`, summed over count profiles: each
-    profile's powers of the statistic weighted by its number of transcripts,
-    so a cell costs one term per partition of q rather than per transcript."""
-    sums = [Fraction(0)] * 4
-    for w in enumerate_profiles(params):
-        x = collision_excess_of_profile(w.profile, params)
-        acc = Fraction(w.transcript_count)
-        for k in range(4):
-            acc *= x
-            sums[k] += acc
-    total = params.num_replies**params.q
-    return MomentSet(*(s / total for s in sums), p=Fraction(1, params.num_replies))
+    """The same averages as `moments_brute`, over the profile weights of
+    `enumerate_profiles` (closed-form transcript counts), so a cell costs one
+    term per partition of q rather than per transcript."""
+    weights = ((w.profile.parts, w.transcript_count) for w in enumerate_profiles(params))
+    return _profile_moments(weights, params.q, params.num_replies)
 
 
 def _sample_excess(

@@ -1,11 +1,12 @@
-"""The exact engine's parameters: each one is read by a CLI path or a library
-route, and none exists only for tests to set."""
+"""The parameters of the exact engine, the lemma checks and the bound report:
+each one is read by a CLI path or a library route, and none exists only for
+tests to set."""
 
 import inspect
 
 import pytest
 
-from truncperm import exact, game, moments
+from truncperm import bounds, checks, exact, game, moments
 
 PARAMETERS = {
     exact.exact_advantage: ["params", "identity"],
@@ -18,6 +19,20 @@ PARAMETERS = {
     exact.mc_advantage_sharded: ["params", "trials", "seed", "workers"],
     moments.moments_brute: ["params"],
     moments.pair_collision_moments_brute: ["q", "buckets"],
+    exact.transcript_tallies: ["q", "buckets"],
+    checks.check_distinct_prob_upper: [],
+    checks.check_log1m_lower: [],
+    checks.check_distinct_prob_lower: [],
+    checks.check_doubling: [],
+    checks.check_profile_score_maximizer: [],
+    checks.check_likelihood_exponential_bound: ["half_domain_only"],
+    checks.check_witness_poly: [],
+    checks.check_witness_poly_expectation: [],
+    checks.check_fourth_moment: [],
+    checks.check_tail_probability: ["rng", "trials"],
+    checks.run_lemma_suite: ["rng", "trials"],
+    bounds.bound_report: ["n", "m", "q"],
+    bounds.bellare_impagliazzo_upper: ["n", "m", "q"],
 }
 
 
@@ -29,4 +44,7 @@ def test_takes_only_the_parameters_it_reads(fn):
 def test_ceilings_are_fixed():
     assert exact.PROFILE_CEILING == 10**6
     assert exact.TRANSCRIPT_CEILING == 10**7
-    assert moments.TRANSCRIPT_CEILING is exact.TRANSCRIPT_CEILING
+    # the moments oracle lists its transcripts through the same ceiling
+    with pytest.raises(exact.EnumerationLimitError,
+                       match=f"exceed ceiling {exact.TRANSCRIPT_CEILING}$"):
+        moments.pair_collision_moments_brute(24, 2)

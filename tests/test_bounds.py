@@ -74,14 +74,6 @@ class TestBellareImpagliazzo:
         assert not bellare_impagliazzo_upper(8, 4, 16).valid  # q = B
         assert not bellare_impagliazzo_upper(8, 4, 64).valid  # q = 2**((n+m)/2)
 
-    def test_constant_scales(self):
-        base = bellare_impagliazzo_upper(8, 4, 32, c=1.0).value
-        assert bellare_impagliazzo_upper(8, 4, 32, c=2.5).value == pytest.approx(
-            2.5 * base
-        )
-        with pytest.raises(ValueError):
-            bellare_impagliazzo_upper(8, 4, 32, c=0.0)
-
 
 class TestGilboaGueron:
     def test_branch_one(self):

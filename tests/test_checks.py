@@ -66,10 +66,6 @@ class TestLikelihoodExponentialBound:
         assert res.passed and res.cases > 0
         assert res.violations == () and res.detail == ""
 
-    def test_holds_for_tiny_n(self):
-        # n <= 3 never reaches the failing regime numerically
-        assert check_likelihood_exponential_bound(n_max=3).passed
-
 
 class TestSuite:
     def test_fixed_order_and_known_failure(self):

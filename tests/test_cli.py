@@ -386,6 +386,18 @@ class TestGameCommand:
         assert row["within_4se"] == "True"
         assert row["rule"] == "likelihood_greater_than_one"
 
+    @pytest.mark.parametrize("rule", ["optimal", "optimal-less"])
+    def test_rates_of_zero_or_one_stay_within_4se(self, capsys, rule):
+        # (3, 0, 7) and (3, 0, 8) sample acceptance rates of exactly 0 or 1
+        code, out = run_cli(capsys, "game", "--n-range", "2", "5", "--m-range", "0", "4",
+                            "--q-range", "2", "10", "--trials", "300", "--seed", "1",
+                            "--rule", rule)
+        rows = {(r["n"], r["m"], r["q"]): r for r in parse_csv(out)}
+        assert code == 0
+        assert {r["within_4se"] for r in rows.values()} <= {"True", ""}
+        assert rows["3", "0", "8"]["accept_rate_function"] in ("0.0", "1.0")
+        assert float(rows["3", "0", "8"]["std_err"]) > 0
+
     def test_collision_rule(self, capsys):
         code, out = run_cli(capsys, "game", "--n", "8", "--m", "4", "--q", "32",
                             "--rule", "collision", "--trials", "20000")

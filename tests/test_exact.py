@@ -21,6 +21,7 @@ from truncperm.exact import (
     mc_advantage_sharded,
     profile_score,
     transcript_count,
+    transcript_tallies,
 )
 from truncperm.core import CountProfile
 
@@ -220,6 +221,19 @@ class TestPrunedKernel:
 
 
 class TestBruteForce:
+    def test_tallies_match_transcript_counts(self):
+        # every (q, b) with b**q <= 10**4: listing the transcripts and the
+        # closed-form counts give the same weight to every profile
+        cells = [(q, 1 << k) for k in range(1, 14) for q in range(1, 14)
+                 if (1 << k) ** q <= 10**4]
+        assert len(cells) == 37
+        for q, b in cells:
+            p = Params(b.bit_length() + 3, 4, q)
+            tallies = transcript_tallies(q, b)
+            assert sum(tallies.values()) == b**q
+            assert tallies == {pw.profile.parts: pw.transcript_count
+                               for pw in enumerate_profiles(p)}, (q, b)
+
     def test_ceiling(self):
         # 256**4, about 4.3e9 transcripts
         with pytest.raises(EnumerationLimitError, match=f"exceed ceiling {TRANSCRIPT_CEILING}$"):

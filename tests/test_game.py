@@ -18,6 +18,7 @@ from truncperm.game import (
     LIKELIHOOD_GREATER,
     Rule,
     _accept_counts,
+    _result_from_accepts,
     collision_rule_threshold,
     optimal_rule,
     play_game,
@@ -169,6 +170,19 @@ class TestPlayGame:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             play_game(Params(2, 1, 2), optimal_rule(), 0, make_rng(0))
+
+    @pytest.mark.parametrize("accepts", [(0, 300), (300, 0), (0, 0), (300, 300)])
+    def test_rate_of_zero_or_one_keeps_a_standard_error(self, accepts):
+        # each arm's variance is at least that of one accept: (1/t)(1 - 1/t)
+        res = _result_from_accepts(*accepts, 300)
+        assert res.standard_error > 0
+        assert res.standard_error == pytest.approx(math.sqrt(2 * (1 / 300) * (299 / 300) / 300))
+
+    def test_interior_rates_keep_the_plug_in_standard_error(self):
+        for acc_fun, acc_perm, t in ((1, 299, 300), (17, 4000, 20000), (1, 1, 2)):
+            r, s = acc_fun / t, acc_perm / t
+            want = math.sqrt(r * (1.0 - r) / t + s * (1.0 - s) / t)
+            assert _result_from_accepts(acc_fun, acc_perm, t).standard_error == want
 
 
 class TestPlayGameSharded:
