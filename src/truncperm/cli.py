@@ -177,18 +177,22 @@ EXACT_RESULTS = (
 
 
 def exact_cell(args, p: Params):
+    # price each sum on its own before running either, so a refused cell
+    # enumerates nothing.  The greater side gives the answer; the less side
+    # only checks it through the dual identity, so a less side over the
+    # ceiling leaves the check undone, not the cell refused
     try:
-        # price both sums before running either, so a refused cell
-        # enumerates nothing; the greater side first, as its count is the
-        # one a refusal of both sides reports
-        for identity in (VIA_R_GREATER, VIA_R_LESS):
-            profile_budget(p, identity)
+        profile_budget(p, VIA_R_GREATER)
     except EnumerationLimitError as exc:
         refused = dict.fromkeys(EXACT_RESULTS, "")
         return {**refused, "status": "refused", "reason": f"ceiling: {exc}"}, True
+    try:
+        profile_budget(p, VIA_R_LESS)
+        unchecked = ""
+    except EnumerationLimitError as exc:
+        unchecked = f"dual identity not checked: less side: {exc}"
     greater = exact_advantage(p, VIA_R_GREATER)
-    less = exact_advantage(p, VIA_R_LESS)
-    dual_ok = greater.value == less.value
+    dual_ok = "" if unchecked else greater.value == exact_advantage(p, VIA_R_LESS).value
     dominated = greater.value <= bound_report(p.n, p.m, p.q).combined_upper
     fields = {
         "advantage": float(greater.value),
@@ -199,9 +203,9 @@ def exact_cell(args, p: Params):
         "dual_identity_ok": dual_ok,
         "below_combined_upper": dominated,
         "status": "ok",
-        "reason": "",
+        "reason": unchecked,
     }
-    return fields, dual_ok and dominated
+    return fields, dual_ok is not False and dominated
 
 
 def bounds_cell(args, p: Params):
@@ -299,10 +303,12 @@ def game_cell(args, p: Params):
         "std_err": res.standard_error,
         "exact_advantage": "",
         "within_4se": "",
+        "exact_reason": "",
     }
     try:
         exact = rule_advantage_exact(p, rule)
-    except EnumerationLimitError:
+    except EnumerationLimitError as exc:
+        fields["exact_reason"] = f"ceiling: {exc}"
         return fields, True
     within = abs(res.empirical_advantage - float(exact)) <= 4.0 * res.standard_error
     fields.update(exact_advantage=float(exact), within_4se=within)

@@ -80,15 +80,14 @@ def collision_rule_threshold(params: Params) -> float:
 def rule_advantage_exact(params: Params, rule: Rule) -> Fraction:
     """Exact advantage of an arbitrary (possibly suboptimal) rule:
     |sum over accepted profiles of (R - 1) * probability|.  Refused, like
-    `exact_advantage`, when the cell's full profile count exceeds
-    PROFILE_CEILING.  The likelihood rules are `exact_advantage` itself; the
-    collision rule accepts a profile by its number of colliding reply pairs
-    sum_d C(d, 2) (see `advantage_sum`)."""
-    profile_budget(params, VIA_R_LESS)
-    if rule.kind == LIKELIHOOD_GREATER:
+    `exact_advantage`, when the sum it walks is priced over PROFILE_CEILING.
+    Both likelihood rules are the pruned greater-side sum (the two sides are
+    equal by the dual identity), priced by that side alone; the collision
+    rule accepts a profile by its number of colliding reply pairs
+    sum_d C(d, 2) (see `advantage_sum`) and is priced by the full count."""
+    if rule.kind in (LIKELIHOOD_GREATER, LIKELIHOOD_LESS):
         return exact_advantage(params, VIA_R_GREATER).value
-    if rule.kind == LIKELIHOOD_LESS:
-        return exact_advantage(params, VIA_R_LESS).value
+    profile_budget(params, VIA_R_LESS)
     mean = Fraction(math.comb(params.q, 2), params.num_replies)
     value, _ = advantage_sum(params, lambda pairs, _: pairs - mean > rule.threshold)
     return abs(value)

@@ -87,6 +87,7 @@ class FeistelPermutation:
         self.key = key
         self._half = n // 2
         self._mask = (1 << self._half) - 1
+        self._tables: list[np.ndarray] | None = None  # per round, once built
 
     def _round(self, r: int, value: int) -> int:
         msg = struct.pack("<I", r) + value.to_bytes(8, "little")
@@ -105,7 +106,10 @@ class FeistelPermutation:
         """Outputs for the counters lo, ..., hi-1 as the left and right
         halves, each a uint64 array of n/2-bit words.
 
-        Each round hashes every distinct right half of the block once.
+        A block at least as long as the half domain builds each round's
+        function over all 2**(n/2) right halves once per instance, and every
+        later block looks its rounds up there; a shorter block, before that,
+        hashes only its own distinct right halves in each round.
         """
         half = self._half
         i = np.arange(hi - lo, dtype=np.uint64)
@@ -114,13 +118,20 @@ class FeistelPermutation:
         # two shifts, because a shift by 64 (half = 64) is undefined
         left = ((low >> 1) >> (half - 1)) | (high << (64 - half))
         right = low & np.uint64(self._mask)
+        if self._tables is None and (1 << half) <= hi - lo:
+            self._tables = [self._hash_all(r, range(1 << half)) for r in range(self.rounds)]
         for r in range(self.rounds):
-            values, inverse = np.unique(right, return_inverse=True)
-            hashed = np.fromiter(
-                (self._round(r, v) for v in values.tolist()), np.uint64, len(values)
-            )
-            left, right = right, left ^ hashed[inverse]
+            if self._tables is not None:
+                hashed = self._tables[r][right]
+            else:
+                values, inverse = np.unique(right, return_inverse=True)
+                hashed = self._hash_all(r, values.tolist())[inverse]
+            left, right = right, left ^ hashed
         return [(left, half), (right, half)]
+
+    def _hash_all(self, r: int, values) -> np.ndarray:
+        """Round r's function of each value, as a uint64 array."""
+        return np.fromiter((self._round(r, v) for v in values), np.uint64, len(values))
 
     def inverse(self, y: int) -> int:
         left, right = y >> self._half, y & self._mask

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,10 @@ import truncperm.game
 import truncperm.moments
 from truncperm import __version__
 from truncperm.cli import TIMING_COLUMNS, build_parser, main
-from truncperm.core import CHUNK_CELLS, SHARD_COUNT
+from truncperm.core import CHUNK_CELLS, SHARD_COUNT, Params
 from truncperm.stream import FeistelPermutation
+
+from test_exact import advantage_sum_unpruned
 
 
 def run_cli(capsys, *argv):
@@ -303,7 +306,8 @@ class TestExactCommand:
         assert code == 0
         _, out = run_cli(capsys, "exact", "--n", "7", "--m", "3", "--q", "112")
         row = parse_csv(out)[0]
-        assert (row["status"], row["profiles"], row["profiles_walked"]) == ("refused", "", "")
+        assert (row["status"], row["profiles"], row["profiles_walked"]) == ("ok", "186", "160")
+        assert row["dual_identity_ok"] == ""
 
     def test_sweep_expansion(self, capsys):
         code, out = run_cli(capsys, "exact", "--n-range", "2", "3",
@@ -312,9 +316,37 @@ class TestExactCommand:
         cells = [(r["n"], r["m"]) for r in parse_csv(out)]
         assert cells == [("2", "0"), ("2", "1"), ("3", "0"), ("3", "1"), ("3", "2")]
 
+    @pytest.mark.parametrize("n,m,q,less", [
+        (7, 3, 112, 161410965), (7, 3, 120, 321546251), (7, 3, 128, 620457761),
+        (8, 4, 256, 1465972415692),
+    ])
+    def test_answers_from_the_greater_side(self, capsys, n, m, q, less):
+        # only the less side is over the ceiling: the greater side answers and
+        # the dual identity is left unchecked, which is not a failure
+        code, out = run_cli(capsys, "exact", "--n", str(n), "--m", str(m), "--q", str(q))
+        row = parse_csv(out)[0]
+        p = Params(n, m, q)
+        want = advantage_sum_unpruned(p, lambda _, excess: excess > 0)
+        assert code == 0
+        assert row["status"] == "ok"
+        assert Fraction(row["advantage_exact"]) == want
+        assert row["dual_identity_ok"] == ""
+        assert row["below_combined_upper"] == "True"
+        assert row["reason"] == (
+            f"dual identity not checked: less side: {less} profiles exceed ceiling "
+            "1000000; use mc_advantage for an estimate"
+        )
+
+    def test_both_sides_within_the_ceiling_check_the_dual_identity(self, capsys):
+        code, out = run_cli(capsys, "exact", "--n", "10", "--m", "5", "--q", "32")
+        row = parse_csv(out)[0]
+        assert code == 0
+        assert (row["status"], row["dual_identity_ok"], row["reason"]) == ("ok", "True", "")
+
     def test_refusal_row(self, capsys):
-        # far over any profile ceiling: row is marked refused, exit stays 0
-        code, out = run_cli(capsys, "exact", "--n", "8", "--m", "4", "--q", "256")
+        # both sides far over the profile ceiling: row is marked refused, exit
+        # stays 0
+        code, out = run_cli(capsys, "exact", "--n", "10", "--m", "4", "--q", "256")
         rows = parse_csv(out)
         assert rows[0]["status"] == "refused"
         assert "ceiling" in rows[0]["reason"]
@@ -397,6 +429,36 @@ class TestGameCommand:
         assert {r["within_4se"] for r in rows.values()} <= {"True", ""}
         assert rows["3", "0", "8"]["accept_rate_function"] in ("0.0", "1.0")
         assert float(rows["3", "0", "8"]["std_err"]) > 0
+
+    @pytest.mark.parametrize("rule", ["optimal", "optimal-less"])
+    def test_likelihood_rules_priced_by_the_greater_side(self, capsys, rule):
+        # the full count, 1031391 profiles, is over the ceiling; the greater
+        # side's is not
+        code, out = run_cli(capsys, "game", "--n", "8", "--m", "4", "--q", "64",
+                            "--trials", "20000", "--seed", "1", "--rule", rule)
+        row = parse_csv(out)[0]
+        assert code == 0
+        assert row["exact_advantage"] == "0.30331953674031154"
+        assert (row["within_4se"], row["exact_reason"]) == ("True", "")
+
+    def test_refused_exact_advantage_says_why(self, capsys):
+        code, out = run_cli(capsys, "game", "--n", "8", "--m", "4", "--q", "64",
+                            "--trials", "2000", "--rule", "collision")
+        row = parse_csv(out)[0]
+        assert code == 0
+        assert (row["exact_advantage"], row["within_4se"]) == ("", "")
+        assert row["exact_reason"] == (
+            "ceiling: 1031391 profiles exceed ceiling 1000000; "
+            "use mc_advantage for an estimate"
+        )
+        _, out = run_cli(capsys, "game", "--n", "14", "--m", "7", "--q", "128",
+                         "--trials", "100")
+        row = parse_csv(out)[0]
+        assert row["exact_advantage"] == ""
+        assert row["exact_reason"] == (
+            "ceiling: 4351078600 profiles exceed ceiling 1000000; "
+            "use mc_advantage for an estimate"
+        )
 
     def test_collision_rule(self, capsys):
         code, out = run_cli(capsys, "game", "--n", "8", "--m", "4", "--q", "32",

@@ -101,9 +101,13 @@ class TestRuleAdvantageExact:
         assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, math.inf)) == 0
 
     def test_ceiling(self):
-        # the full count is over the ceiling, though the greater side's is not
+        # the full count is over the ceiling, though the greater side's is not:
+        # the collision rule, which walks every profile, is refused, and the
+        # likelihood rules answer from the greater side
+        p = Params(8, 4, 200)
         with pytest.raises(EnumerationLimitError, match=f"exceed ceiling {PROFILE_CEILING};"):
-            rule_advantage_exact(Params(8, 4, 200), optimal_rule())
+            rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, collision_rule_threshold(p)))
+        assert rule_advantage_exact(p, optimal_rule()) == exact_advantage(p).value
 
     def test_huge_cell_refused_immediately(self):
         # the profile count is p(4096) restricted to 256 parts, about 5e66

@@ -311,6 +311,38 @@ class TestBlockEvaluation:
             assert unpack_symbols(sink.getvalue(), cfg) == expected
 
 
+class TestFeistelRoundTables:
+    def test_table_and_hashed_paths_agree(self):
+        # a block shorter than the half domain, on a fresh instance, hashes its
+        # own right halves; after a block of 2**8 counters or more the
+        # instance looks them up
+        tabled = FeistelPermutation(16, b"k")
+        tabled.outputs(0, 1 << 8)
+        assert tabled._tables is not None
+        for lo, hi in [(0, 255), (1000, 1100), (65300, 65536), (12345, 12346)]:
+            fresh = FeistelPermutation(16, b"k")
+            words = fresh.outputs(lo, hi)
+            assert fresh._tables is None
+            for (a, wa), (b, wb) in zip(words, tabled.outputs(lo, hi)):
+                assert wa == wb and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_full_sweep_hashes_each_round_input_once(self, monkeypatch, n):
+        calls = []
+        real = FeistelPermutation._round
+
+        def counting(self, r, value):
+            calls.append(r)
+            return real(self, r, value)
+
+        monkeypatch.setattr(FeistelPermutation, "_round", counting)
+        perm = FeistelPermutation(n, b"k")
+        assert balance_check(perm, n, 3).passed
+        assert len(calls) == FeistelPermutation.rounds << (n // 2)
+        generate_stream(perm, StreamConfig(n, 3, 1 << n), io.BytesIO())
+        assert len(calls) == FeistelPermutation.rounds << (n // 2)
+
+
 class TestBalanceCheck:
     def test_explicit_passes(self):
         perm = ExplicitPermutation(12, seed=3)
