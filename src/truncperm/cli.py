@@ -396,7 +396,7 @@ def cmd_bench(args):
     t0 = _clock()
     perm = _build_perm(args)
     cfg = _stream_config(args)
-    res = throughput_bench(perm, cfg, repetitions=args.repetitions)
+    res = throughput_bench(partial(_build_perm, args), cfg, repetitions=args.repetitions)
     fields = {
         "n": args.n,
         "m": args.m,
@@ -459,7 +459,10 @@ OPTION_GROUPS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  When `command` names one, only it gets
+    its options: the others are listed, so usage and errors read the same,
+    but their options, which this call cannot reach, are not built."""
     parser = argparse.ArgumentParser(
         prog="truncperm",
         description="truncated-permutation distinguishing-advantage laboratory",
@@ -467,6 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, groups) in COMMANDS.items():
         p = sub.add_parser(name)
+        if command in COMMANDS and name != command:
+            continue
         for group in groups:
             for flag, kwargs in OPTION_GROUPS[group]:
                 p.add_argument(flag, **kwargs)
@@ -477,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         rows, ok = args.fn(args)
     except (PreconditionError, UsageError) as exc:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -136,81 +136,97 @@ def enumerate_profiles(params: Params) -> Iterator[ProfileWeight]:
 
 
 def advantage_sum(
-    params: Params,
-    accept: Callable[[int, int], bool],
-    positive_only: bool = False,
+    params: Params, side: str | None, pairs_above: int = -1
 ) -> tuple[Fraction, int]:
-    """Sum of probability * (R - 1) over the count profiles `accept` takes,
-    and the number of profiles whose excess was evaluated.
+    """Sum of probability * (R - 1) over the count profiles on `side` of
+    R = 1 (VIA_R_GREATER: R > 1, VIA_R_LESS: R < 1, None: either) with more
+    than `pairs_above` colliding reply pairs sum_d C(d, 2), and the number of
+    profiles the walk reached.  Profiles are those of
+    `enumerate_profiles(params)`, in another order.
 
     With b = 2**(n-m), (x)_d the falling factorial and p = count / b**q a
-    profile's uniform-oracle weight, R = b**q * prod_d (2**m)_d / (2**n)_q.
-    Each profile therefore adds the integer count * excess, where
-    excess = b**q * prod_d (2**m)_d - (2**n)_q has the sign of R - 1, over the
-    common denominator b**q * (2**n)_q; a single Fraction is built at the end.
-    `accept(pairs, excess)` decides from the profile's pair count
-    sum_d C(d, 2) and that sign.  Profiles are those of
-    `enumerate_profiles(params)`, in another order.
+    profile's uniform-oracle weight, R = b**q * P / (2**n)_q, where
+    P = prod_d (2**m)_d.  Acceptance is decided on the integer P alone:
+    R > 1 iff P > floor((2**n)_q / b**q), and R < 1 iff
+    P <= floor(((2**n)_q - 1) / b**q).  The walk adds up sum count * P and
+    sum count over the accepted profiles; the integer
+    b**q * sum count * P - (2**n)_q * sum count, over the common denominator
+    b**q * (2**n)_q, is formed once at the end as a single Fraction.
 
     The walk picks each distinct part size d with its multiplicity c in one
     level, so it recurses once per distinct size (under sqrt(2q) levels), and
-    carries down the product of the (2**m)_d, the pair count and the weight
-    count = q!/prod d! * perm(b, k)/prod c!.  When `accept` takes only
-    profiles with excess > 0 (`positive_only`), a prefix with product P and
-    r queries left is skipped once b**q * P * 2**(m*r) <= (2**n)_q: as
-    (2**m)_d <= 2**(m*d), no completion of it has R > 1.  A part above the
-    capacity 2**m makes P = 0, so that side never enters one.
+    carries down P, the pair count and the weight
+    count = q!/prod d! * perm(b, k)/prod c!.  The rest of a profile after its
+    parts of size 2 are placed is single queries, closed in place.  On the
+    greater side, a prefix with product P and r queries left is skipped once
+    P * 2**(m*r) is at most the bound: as (2**m)_d <= 2**(m*d), no completion
+    of it has R > 1.  A part above the capacity 2**m makes P = 0, so that
+    side never enters one.  The other sides reach every profile.
     """
     q = params.q
     b = params.num_replies
     m = params.m
-    cap = params.bucket_capacity
     falling = [1] * (q + 1)  # (2**m)_d; 0 from d = 2**m + 1 on
     for d in range(1, q + 1):
-        falling[d] = falling[d - 1] * (cap - d + 1)
+        falling[d] = falling[d - 1] * (params.bucket_capacity - d + 1)
     uniform = perm(params.domain_size, q)
     scale = b**q
-    # b**q * X <= (2**n)_q  <=>  X <= floor((2**n)_q / b**q), for integers X >= 0
-    limit = uniform // scale
-    total = 0
-    walked = 0
-
-    def leaf(prod: int, weight: int, pairs: int) -> None:
-        nonlocal total, walked
-        walked += 1
-        excess = scale * prod - uniform
-        if accept(pairs, excess):
-            total += weight * excess
+    # take P iff lo < P <= hi; every P is at most (2**m)**q
+    lo, hi = -1, 1 << (m * q)
+    if side == VIA_R_GREATER:
+        lo = uniform // scale
+    elif side == VIA_R_LESS:
+        hi = (uniform - 1) // scale
+    elif side is not None:
+        raise ValueError(f"unknown side {side!r}")
+    prune = lo >= 0
+    sum_wp = sum_w = walked = 0
 
     def walk(left: int, top: int, k: int, prod: int, weight: int, pairs: int) -> None:
         # place `left` more queries in parts of size <= top, on at most b - k
         # further reply values
+        nonlocal sum_wp, sum_w, walked
         room = b - k
-        for d in range(min(left, top), 0, -1):
+        for d in range(min(left, top), 1, -1):
             if left > d * room:
                 return  # smaller parts reach even less
-            if d == 1:  # the rest are single queries on distinct reply values
-                prod *= cap**left
-                if not positive_only or prod > limit:
-                    leaf(prod, weight * perm(room, left), pairs)
-                return
             fd = falling[d]
-            pd = comb(d, 2)
+            pd = d * (d - 1) // 2
             rest, p, w, x = left, prod, weight, pairs
             for c in range(1, min(left // d, room) + 1):
                 p *= fd
-                if positive_only and p << (m * (rest - d)) <= limit:
+                if prune and p << (m * (rest - d)) <= lo:
                     break  # more parts of size d only lower the bound
                 w = w * comb(rest, d) * (room - c + 1) // c
                 rest -= d
                 x += pd
                 if rest == 0:
-                    leaf(p, w, x)
+                    walked += 1
+                    if p <= hi and x > pairs_above:
+                        sum_wp += w * p
+                        sum_w += w
+                elif d == 2:  # the rest are single queries; p1 > lo by the check above
+                    if rest <= room - c:
+                        walked += 1
+                        p1 = p << (m * rest)
+                        if p1 <= hi and x > pairs_above:
+                            w1 = w * perm(room - c, rest)
+                            sum_wp += w1 * p1
+                            sum_w += w1
                 elif rest <= (d - 1) * (room - c):
                     walk(rest, d - 1, k + c, p, w, x)
+        # the rest are single queries on distinct reply values
+        if left <= room:
+            prod <<= m * left
+            if prod > lo:
+                walked += 1
+                if prod <= hi and pairs > pairs_above:
+                    weight *= perm(room, left)
+                    sum_wp += weight * prod
+                    sum_w += weight
 
     walk(q, q, 0, 1, 1, 0)
-    return Fraction(total, scale * uniform), walked
+    return Fraction(scale * sum_wp - uniform * sum_w, scale * uniform), walked
 
 
 def profile_budget(params: Params, identity: str = VIA_R_GREATER) -> int:
@@ -246,12 +262,8 @@ def exact_advantage(params: Params, identity: str = VIA_R_GREATER) -> AdvantageR
     PROFILE_CEILING.
     """
     profiles = profile_budget(params, identity)
-    if identity == VIA_R_GREATER:
-        value, walked = advantage_sum(
-            params, lambda _, excess: excess > 0, positive_only=True
-        )
-    else:
-        value, walked = advantage_sum(params, lambda _, excess: excess < 0)
+    value, walked = advantage_sum(params, identity)
+    if identity == VIA_R_LESS:
         value = -value
     return AdvantageResult(value, identity, profiles, walked)
 

@@ -88,8 +88,16 @@ def rule_advantage_exact(params: Params, rule: Rule) -> Fraction:
     if rule.kind in (LIKELIHOOD_GREATER, LIKELIHOOD_LESS):
         return exact_advantage(params, VIA_R_GREATER).value
     profile_budget(params, VIA_R_LESS)
-    mean = Fraction(math.comb(params.q, 2), params.num_replies)
-    value, _ = advantage_sum(params, lambda pairs, _: pairs - mean > rule.threshold)
+    # pairs - C(q,2)/b > t  <=>  pairs > floor(C(q,2)/b + t) for integer pairs,
+    # with t taken exactly; Fraction(+-inf) raises, and -inf takes every
+    # profile (pairs >= 0), +inf none (pairs <= C(q,2))
+    top = math.comb(params.q, 2)
+    t = rule.threshold
+    if math.isinf(t):
+        pairs_above = -1 if t < 0 else top
+    else:
+        pairs_above = math.floor(Fraction(top, params.num_replies) + Fraction(t))
+    value, _ = advantage_sum(params, None, pairs_above)
     return abs(value)
 
 

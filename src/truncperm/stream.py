@@ -288,11 +288,16 @@ class BenchResult:
     seconds_per_symbol: float
 
 
-def throughput_bench(perm, cfg: StreamConfig, repetitions: int = 5) -> BenchResult:
-    """Time `generate_stream` into a discard sink; median over repetitions."""
+def throughput_bench(make_perm, cfg: StreamConfig, repetitions: int = 5) -> BenchResult:
+    """Time `generate_stream` into a discard sink; median over repetitions.
+
+    Each repetition streams from a fresh permutation, `make_perm()`, built
+    outside the timer, so every one pays what a single stream pays (the
+    Feistel round tables included) and none reads a warmed instance."""
     times = []
     written = 0
     for _ in range(repetitions):
+        perm = make_perm()
         sink = io.BytesIO()
         t0 = time.perf_counter()
         written = generate_stream(perm, cfg, sink)

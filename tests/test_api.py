@@ -11,7 +11,7 @@ from truncperm import bounds, checks, exact, game, moments
 PARAMETERS = {
     exact.exact_advantage: ["params", "identity"],
     exact.profile_budget: ["params", "identity"],
-    exact.advantage_sum: ["params", "accept", "positive_only"],
+    exact.advantage_sum: ["params", "side", "pairs_above"],
     exact.enumerate_profiles: ["params"],
     exact.brute_force_advantage: ["params"],
     game.rule_advantage_exact: ["params", "rule"],

@@ -49,6 +49,61 @@ class TestParser:
         _, out = run_cli(capsys, "mc", "--n", "4", "--m", "2", "--q", "4", "--trials", "10")
         assert "arith_mode" not in parse_csv(out)[0]
 
+    USAGE = ("usage: truncperm [-h] {exact,bounds,mc,moments,game,lemmas,stream,bench}"
+             " ...\n")
+    GAME_HELP = """\
+usage: truncperm game [-h] [--n N] [--m M] [--q Q] [--n-range LO HI]
+                      [--m-range LO HI] [--q-range LO HI] [--trials TRIALS]
+                      [--seed SEED] [--workers WORKERS]
+                      [--rule {optimal,optimal-less,collision}]
+                      [--format {csv,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --m M
+  --q Q
+  --n-range LO HI
+  --m-range LO HI
+  --q-range LO HI
+  --trials TRIALS
+  --seed SEED
+  --workers WORKERS
+  --rule {optimal,optimal-less,collision}
+  --format {csv,json}
+  --out OUT
+"""
+
+    @pytest.mark.parametrize("argv,code,out,err", [
+        (["--help"], 0, USAGE + """
+truncated-permutation distinguishing-advantage laboratory
+
+positional arguments:
+  {exact,bounds,mc,moments,game,lemmas,stream,bench}
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+        ([], 2, "", USAGE + "truncperm: error: the following arguments are required: command\n"),
+        (["nosuch"], 2, "", USAGE + "truncperm: error: argument command: invalid choice: "
+         "'nosuch' (choose from 'exact', 'bounds', 'mc', 'moments', 'game', 'lemmas', "
+         "'stream', 'bench')\n"),
+        (["exact", "--bogus"], 2, "", USAGE + "truncperm: error: unrecognized arguments: --bogus\n"),
+        (["exact", "--n", "4", "--m", "1", "--q", "3", "extra"], 2, "",
+         USAGE + "truncperm: error: unrecognized arguments: extra\n"),
+        (["game", "--help"], 0, GAME_HELP, ""),
+    ], ids=["help", "no-command", "unknown-command", "unknown-option", "extra-argument",
+            "game-help"])
+    def test_usage_help_and_errors(self, capsys, monkeypatch, argv, code, out, err):
+        # a parser that builds only the invoked subcommand's options prints
+        # the same text as one that builds them all
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", ["truncperm", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
+        assert capsys.readouterr() == (out, err)
+
     def test_runs_as_module(self):
         proc = subprocess.run(
             [sys.executable, "-m", "truncperm", "exact", "--n", "2", "--m", "1", "--q", "3"],

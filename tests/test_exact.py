@@ -1,11 +1,19 @@
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import perm
+from math import comb, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from truncperm.core import Params, all_distinct_prob, make_rng
+from truncperm.core import (
+    Params,
+    all_distinct_prob,
+    collision_excess_of_profile,
+    likelihood_ratio,
+    make_rng,
+)
 from truncperm.exact import (
     PROFILE_CEILING,
     TRANSCRIPT_CEILING,
@@ -13,6 +21,7 @@ from truncperm.exact import (
     VIA_R_LESS,
     EnumerationLimitError,
     _partitions,
+    advantage_sum,
     brute_force_advantage,
     count_partitions,
     enumerate_profiles,
@@ -24,6 +33,7 @@ from truncperm.exact import (
     transcript_tallies,
 )
 from truncperm.core import CountProfile
+from truncperm.game import COLLISION_THRESHOLD, Rule, rule_advantage_exact
 
 
 @lru_cache(maxsize=None)
@@ -218,6 +228,78 @@ class TestPrunedKernel:
             less = exact_advantage(p, VIA_R_LESS)
             assert greater.profiles_walked == sum(1 for _, r in profiles if r > 1), p
             assert less.profiles_walked == less.profiles_enumerated == len(profiles), p
+
+
+@st.composite
+def small_cells(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, n - 1))
+    return Params(n, m, draw(st.integers(1, min(1 << n, 12))))
+
+
+class TestIntegerBounds:
+    """`advantage_sum` decides acceptance on integer bounds; each rule is
+    checked against a Fraction sum over `enumerate_profiles`."""
+
+    @staticmethod
+    def reference(p, accepts):
+        # sum of probability * (R - 1) over the profiles accepts(profile, R) takes
+        total = Fraction(0)
+        for pw in enumerate_profiles(p):
+            ratio = likelihood_ratio(pw.profile, p)
+            if accepts(pw.profile, ratio):
+                total += pw.probability * (ratio - 1)
+        return total
+
+    @given(small_cells(), st.integers(-2, 70))
+    @settings(max_examples=200, deadline=None)
+    def test_sides_and_pair_bounds(self, p, pairs_above):
+        def pairs(profile):
+            return sum(comb(d, 2) for d in profile.parts)
+
+        sides = {VIA_R_GREATER: lambda r: r > 1, VIA_R_LESS: lambda r: r < 1,
+                 None: lambda r: True}
+        for side, on_side in sides.items():
+            assert advantage_sum(p, side)[0] == self.reference(
+                p, lambda prof, r: on_side(r)), (p, side)
+            assert advantage_sum(p, side, pairs_above)[0] == self.reference(
+                p, lambda prof, r: on_side(r) and pairs(prof) > pairs_above
+            ), (p, side, pairs_above)
+
+    @staticmethod
+    def ties(p):
+        """Every threshold t at which some profile has pairs - C(q,2)/b == t
+        exactly (a float, as the mean is dyadic)."""
+        return sorted({float(collision_excess_of_profile(pw.profile, p))
+                       for pw in enumerate_profiles(p)})
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_collision_rule(self, data):
+        p = data.draw(small_cells())
+        t = data.draw(st.one_of(
+            st.sampled_from(self.ties(p)),
+            st.floats(-100.0, 0.0),
+            st.floats(allow_nan=False),
+            st.sampled_from([math.inf, -math.inf]),
+        ))
+        want = abs(self.reference(
+            p, lambda prof, r: collision_excess_of_profile(prof, p) > t))
+        assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, t)) == want
+
+    @pytest.mark.parametrize("n,m,q", [(3, 1, 8), (5, 0, 9), (5, 2, 12), (6, 2, 10)])
+    def test_ties_are_rejected(self, n, m, q):
+        # a profile exactly at the threshold is not taken: the threshold at
+        # each tie gives the sum over the profiles strictly above it
+        p = Params(n, m, q)
+        for t in [*self.ties(p), -math.inf, math.inf, -0.5, -1e300]:
+            above = self.reference(
+                p, lambda prof, r: collision_excess_of_profile(prof, p) > t)
+            assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, t)) == abs(above), t
+
+    def test_rejects_unknown_side(self):
+        with pytest.raises(ValueError, match="unknown side"):
+            advantage_sum(Params(2, 1, 2), "via_typo")
 
 
 class TestBruteForce:

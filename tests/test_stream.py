@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truncperm import stream
 from truncperm.core import Params
 from truncperm.exact import exact_advantage
 from truncperm.stream import (
@@ -379,11 +380,33 @@ class TestMarginsAndLengths:
 
 class TestBenchAndMetadata:
     def test_throughput_positive(self):
-        perm = ExplicitPermutation(10, seed=0)
-        res = throughput_bench(perm, StreamConfig(10, 2, 1024), repetitions=3)
+        res = throughput_bench(
+            lambda: ExplicitPermutation(10, seed=0), StreamConfig(10, 2, 1024), repetitions=3
+        )
         assert res.bytes_written == 1024
         assert res.bytes_per_second > 0
         assert res.seconds_per_symbol >= 0
+
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    def test_fresh_permutation_per_repetition(self, monkeypatch, repetitions):
+        # a warmed instance (e.g. Feistel round tables already built) would
+        # time a cheaper stream than a single run pays
+        made, streamed = [], []
+
+        def make():
+            made.append(ExplicitPermutation(8, seed=len(made)))
+            return made[-1]
+
+        def counting(perm, cfg, sink):
+            streamed.append(perm)
+            return real(perm, cfg, sink)
+
+        real = stream.generate_stream
+        monkeypatch.setattr(stream, "generate_stream", counting)
+        res = throughput_bench(make, StreamConfig(8, 2, 64), repetitions=repetitions)
+        assert len(made) == repetitions
+        assert [id(p) for p in streamed] == [id(p) for p in made]
+        assert res.bytes_written == 48
 
     def test_metadata_sidecar(self, tmp_path):
         perm = ExplicitPermutation(8, seed=5)
