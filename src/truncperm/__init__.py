@@ -15,7 +15,6 @@ from .exact import (
     AdvantageResult,
     EnumerationLimitError,
     MonteCarloEstimate,
-    ProfileWeight,
     brute_force_advantage,
     enumerate_profiles,
     exact_advantage,
@@ -35,8 +34,6 @@ from .bounds import (
 from .moments import (
     MomentSet,
     fourth_moment_bound_check,
-    markov_lower,
-    moments_brute,
     moments_closed_form,
     moments_empirical,
     moments_profiles,

@@ -90,18 +90,30 @@ def _result(name, slacks, cases, violations=()) -> CheckResult:
     return CheckResult(name, worst >= -_EPS, cases, worst, tuple(violations))
 
 
-def check_distinct_prob_upper() -> CheckResult:
-    """ln of the all-distinct probability is at most -k(k-1)/(2 alpha)."""
+def _alpha_grid(name, divisor, slack_of) -> CheckResult:
+    """One distinct-probability check over ALPHAS: for each alpha, k = 1 ..
+    top with top = min(K_MAX, alpha // divisor) (skipped if 0), and
+    slack_of(alpha, k, table) the slack array, where k is a float array and
+    table = log_all_distinct_table(top, alpha)."""
     slacks = []
     cases = 0
     for alpha in ALPHAS:
-        top = min(K_MAX, alpha)
-        table = log_all_distinct_table(top, alpha)
+        top = min(K_MAX, alpha // divisor)
+        if top < 1:
+            continue
         k = np.arange(1, top + 1, dtype=np.float64)
-        rhs = -k * (k - 1.0) / (2.0 * alpha)
-        slacks.append(np.min(rhs - table[1:]))
+        slacks.append(np.min(slack_of(alpha, k, log_all_distinct_table(top, alpha))))
         cases += top
-    return _result("distinct_prob_upper", slacks, cases)
+    return _result(name, slacks, cases)
+
+
+def check_distinct_prob_upper() -> CheckResult:
+    """ln of the all-distinct probability is at most -k(k-1)/(2 alpha)."""
+
+    def slack(alpha, k, table):
+        return -k * (k - 1.0) / (2.0 * alpha) - table[1:]
+
+    return _alpha_grid("distinct_prob_upper", 1, slack)
 
 
 def check_log1m_lower() -> CheckResult:
@@ -114,37 +126,25 @@ def check_log1m_lower() -> CheckResult:
 
 def check_distinct_prob_lower() -> CheckResult:
     """For k <= alpha/2: ln all-distinct >= -k(k-1)/(2 alpha) - k**3/(3 alpha**2)."""
-    slacks = []
-    cases = 0
-    for alpha in ALPHAS:
-        top = min(K_MAX, alpha // 2)
-        if top < 1:
-            continue
-        table = log_all_distinct_table(top, alpha)
-        k = np.arange(1, top + 1, dtype=np.float64)
-        rhs = -k * (k - 1.0) / (2.0 * alpha) - k**3 / (3.0 * alpha**2)
-        slacks.append(np.min(table[1:] - rhs))
-        cases += top
-    return _result("distinct_prob_lower", slacks, cases)
+
+    def slack(alpha, k, table):
+        return table[1:] - (-k * (k - 1.0) / (2.0 * alpha) - k**3 / (3.0 * alpha**2))
+
+    return _alpha_grid("distinct_prob_lower", 2, slack)
 
 
 def check_doubling() -> CheckResult:
     """Doubling inequality: the score ln W + pairs/alpha at (2k, 2 alpha) is
     at least twice the score at (k, alpha) minus (k/alpha)**2 / 2."""
-    slacks = []
-    cases = 0
-    for alpha in ALPHAS:
-        top = min(K_MAX, alpha // 2)
-        if top < 1:
-            continue
-        small = log_all_distinct_table(top, alpha)
+
+    def slack(alpha, k, small):
+        top = k.size
         big = log_all_distinct_table(2 * top, 2 * alpha)
-        k = np.arange(1, top + 1, dtype=np.float64)
         lhs = big[2 : 2 * top + 1 : 2] + (2 * k) * (2 * k - 1) / 2.0 / (2.0 * alpha)
         rhs = 2.0 * (small[1:] + k * (k - 1) / 2.0 / alpha) - 0.5 * (k / alpha) ** 2
-        slacks.append(np.min(lhs - rhs))
-        cases += top
-    return _result("score_doubling", slacks, cases)
+        return lhs - rhs
+
+    return _alpha_grid("score_doubling", 2, slack)
 
 
 def _balanced_partition(q: int, buckets: int) -> tuple[int, ...]:
@@ -204,13 +204,14 @@ def check_likelihood_exponential_bound(half_domain_only: bool = False) -> CheckR
                 params = Params(n, m, q)
                 cap = params.bucket_capacity
                 cell = []
-                for pw in enumerate_profiles(params):
-                    r = likelihood_ratio(pw.profile, params)
-                    x = collision_excess_of_profile(pw.profile, params)
+                for parts, _ in enumerate_profiles(params):
+                    profile = CountProfile(parts)
+                    r = likelihood_ratio(profile, params)
+                    x = collision_excess_of_profile(profile, params)
                     bound = math.exp(
                         q * q / 2 ** (n + m + 1) - float(x) / cap
                     )
-                    cell.append(Witness(n, m, q, pw.profile.parts, float(r), bound))
+                    cell.append(Witness(n, m, q, parts, float(r), bound))
                 cases += len(cell)
                 slacks.extend(w.slack for w in cell)
                 worst = min(cell, key=lambda w: w.slack)

@@ -30,7 +30,6 @@ from .exact import (
     VIA_R_LESS,
     exact_advantage,
     mc_advantage_sharded,
-    profile_budget,
 )
 from .game import (
     Rule,
@@ -177,22 +176,21 @@ EXACT_RESULTS = (
 
 
 def exact_cell(args, p: Params):
-    # price each sum on its own before running either, so a refused cell
-    # enumerates nothing.  The greater side gives the answer; the less side
-    # only checks it through the dual identity, so a less side over the
-    # ceiling leaves the check undone, not the cell refused
+    # each sum prices itself before it walks, so a refused cell enumerates
+    # nothing.  The greater side gives the answer; the less side only checks
+    # it through the dual identity, so a less side over the ceiling leaves
+    # the check undone, not the cell refused
     try:
-        profile_budget(p, VIA_R_GREATER)
+        greater = exact_advantage(p, VIA_R_GREATER)
     except EnumerationLimitError as exc:
         refused = dict.fromkeys(EXACT_RESULTS, "")
         return {**refused, "status": "refused", "reason": f"ceiling: {exc}"}, True
     try:
-        profile_budget(p, VIA_R_LESS)
+        dual_ok = greater.value == exact_advantage(p, VIA_R_LESS).value
         unchecked = ""
     except EnumerationLimitError as exc:
+        dual_ok = ""
         unchecked = f"dual identity not checked: less side: {exc}"
-    greater = exact_advantage(p, VIA_R_GREATER)
-    dual_ok = "" if unchecked else greater.value == exact_advantage(p, VIA_R_LESS).value
     dominated = greater.value <= bound_report(p.n, p.m, p.q).combined_upper
     fields = {
         "advantage": float(greater.value),

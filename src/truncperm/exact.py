@@ -44,19 +44,6 @@ class EnumerationLimitError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProfileWeight:
-    """A count profile together with its exact weight under the uniform oracle."""
-
-    profile: CountProfile
-    transcript_count: int
-    num_transcripts: int  # num_replies**q: every transcript of the cell
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self.transcript_count, self.num_transcripts)
-
-
-@dataclass(frozen=True)
 class AdvantageResult:
     value: Fraction
     identity: str
@@ -123,16 +110,16 @@ def transcript_count(parts: tuple[int, ...], params: Params) -> int:
     return placements * orderings
 
 
-def enumerate_profiles(params: Params) -> Iterator[ProfileWeight]:
-    """Every count profile of a q-query transcript with exact weight.
+def enumerate_profiles(params: Params) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every count profile of a q-query transcript as a (parts, transcript
+    count) pair, the pairs `transcript_tallies` finds by listing transcripts.
 
     Profiles whose largest count exceeds the bucket capacity are included
     (they carry probability mass and likelihood ratio 0), so the transcript
     counts sum to num_replies**q.
     """
-    denom = params.num_replies**params.q
     for parts in _partitions(params.q, params.q, params.num_replies):
-        yield ProfileWeight(CountProfile(parts), transcript_count(parts, params), denom)
+        yield parts, transcript_count(parts, params)
 
 
 def advantage_sum(

@@ -99,16 +99,11 @@ def moments_closed_form(params: Params) -> MomentSet:
     return pair_collision_moments(params.q, params.num_replies)
 
 
-def moments_brute(params: Params) -> MomentSet:
-    return pair_collision_moments_brute(params.q, params.num_replies)
-
-
 def moments_profiles(params: Params) -> MomentSet:
-    """The same averages as `moments_brute`, over the profile weights of
-    `enumerate_profiles` (closed-form transcript counts), so a cell costs one
-    term per partition of q rather than per transcript."""
-    weights = ((w.profile.parts, w.transcript_count) for w in enumerate_profiles(params))
-    return _profile_moments(weights, params.q, params.num_replies)
+    """The same averages as `pair_collision_moments_brute`, over the profile
+    weights of `enumerate_profiles` (closed-form transcript counts), so a cell
+    costs one term per partition of q rather than per transcript."""
+    return _profile_moments(enumerate_profiles(params), params.q, params.num_replies)
 
 
 def _sample_excess(
@@ -179,15 +174,6 @@ def tail_witness_poly(x):
         + Fraction(235, 8) * x
         - Fraction(25, 8)
     )
-
-
-def markov_lower(mean_y, upper_bound):
-    """Lower bound Pr(Y > 0) >= E[Y] / M for Y bounded above by M > 0."""
-    if upper_bound <= 0:
-        raise ValueError("upper bound must be positive")
-    if mean_y > upper_bound:
-        raise ValueError("mean cannot exceed the upper bound")
-    return mean_y / upper_bound
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ but NOT a uniform permutation -- demo only).
 
 Both backends are evaluated BLOCK counters at a time with numpy: an output is
 a list of MSB-first (uint64 array, bit width) words, so no numpy value is
-wider than 64 bits even at n = 128.  Any other callable ``perm(x) -> int`` is
-called once per counter and goes through the same packer.
+wider than 64 bits even at n = 128.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class ExplicitPermutation:
         if not 1 <= n <= 20:
             raise ValueError("explicit permutation supports 1 <= n <= 20")
         self.n = n
-        self.seed = seed
         self.table = np.random.default_rng(seed).permutation(1 << n)
 
     def __call__(self, x: int) -> int:
@@ -140,28 +138,12 @@ class FeistelPermutation:
         return (left << self._half) | right
 
 
-def _call_each(perm, n: int, lo: int, hi: int) -> list[tuple[np.ndarray, int]]:
-    """Outputs of a permutation with no batch evaluation: one call per counter,
-    split into 64-bit words."""
-    # truncating by 0 bits keeps the value and rejects an out-of-range output
-    values = [int(truncate(perm(ctr), n, 0)) for ctr in range(lo, hi)]
-    return [
-        (
-            np.fromiter(((y >> shift) & _WORD for y in values), np.uint64, hi - lo),
-            min(64, n - shift),
-        )
-        for shift in range(64 * ((n - 1) // 64), -1, -64)
-    ]
-
-
 def _blocks(perm, n: int, start: int, stop: int):
     """Yield the outputs for counters start, ..., stop-1, BLOCK at a time."""
-    if getattr(perm, "n", n) != n:
+    if perm.n != n:
         raise ValueError(f"permutation width {perm.n} does not match n = {n}")
-    batch = getattr(perm, "outputs", None)
     for lo in range(start, stop, BLOCK):
-        hi = min(lo + BLOCK, stop)
-        yield batch(lo, hi) if batch is not None else _call_each(perm, n, lo, hi)
+        yield perm.outputs(lo, min(lo + BLOCK, stop))
 
 
 def _bit_matrix(words, n: int, m: int, lead: int = 0) -> np.ndarray:
@@ -319,7 +301,7 @@ def stream_metadata(perm, cfg: StreamConfig, seed=None) -> dict:
         "start_counter": cfg.start_counter,
         "count": cfg.count,
         "packing": cfg.packing,
-        "permutation_kind": getattr(perm, "kind", "external"),
+        "permutation_kind": perm.kind,
         "seed": seed,
         "disclaimer": (
             "indistinguishability margins assume the permutation is "

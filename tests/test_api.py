@@ -17,7 +17,6 @@ PARAMETERS = {
     game.rule_advantage_exact: ["params", "rule"],
     exact.mc_advantage: ["params", "trials", "rng"],
     exact.mc_advantage_sharded: ["params", "trials", "seed", "workers"],
-    moments.moments_brute: ["params"],
     moments.pair_collision_moments_brute: ["q", "buckets"],
     exact.transcript_tallies: ["q", "buckets"],
     checks.check_distinct_prob_upper: [],

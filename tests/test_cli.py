@@ -407,6 +407,23 @@ class TestExactCommand:
         assert "ceiling" in rows[0]["reason"]
         assert code == 0
 
+    @pytest.mark.parametrize("n,m,q,prices", [
+        (10, 5, 32, 2),  # both sides answered
+        (7, 3, 112, 2),  # the less side over the ceiling
+        (12, 6, 384, 1),  # the greater side over the ceiling: refused
+    ])
+    def test_each_side_is_priced_once(self, capsys, monkeypatch, n, m, q, prices):
+        calls = []
+        price = truncperm.exact.count_partitions
+
+        def counted(*args):
+            calls.append(args)
+            return price(*args)
+
+        monkeypatch.setattr(truncperm.exact, "count_partitions", counted)
+        run_cli(capsys, "exact", "--n", str(n), "--m", str(m), "--q", str(q))
+        assert len(calls) == prices
+
     def test_refusal_reason_counts_the_first_refused_side(self, capsys):
         # both sums are over the ceiling; the greater side is priced first
         code, out = run_cli(capsys, "exact", "--n", "9", "--m", "4", "--q", "200")

@@ -148,15 +148,15 @@ class TestLikelihoodRatio:
         assert len(small_cell_ratios) == 428
         for p, profiles in small_cell_ratios:
             counts = np.zeros((len(profiles), p.num_replies), dtype=np.int64)
-            for row, (pw, _) in zip(counts, profiles):
-                row[: pw.profile.k] = pw.profile.parts
-            for got, (pw, ratio) in zip(log_likelihood_ratios(counts, p), profiles):
+            for row, (parts, _, _) in zip(counts, profiles):
+                row[: len(parts)] = parts
+            for got, (parts, _, ratio) in zip(log_likelihood_ratios(counts, p), profiles):
                 if ratio == 0:
-                    assert got == LOG_ZERO, (p, pw.profile)
+                    assert got == LOG_ZERO, (p, parts)
                 else:
                     want = math.log(ratio)
                     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (
-                        p, pw.profile, got, want
+                        p, parts, got, want
                     )
 
     def test_log_rows_survive_large_q(self):
@@ -171,8 +171,8 @@ class TestLikelihoodRatio:
         # probabilities R/|set| must sum to exactly 1
         p = Params(n, m, q)
         total = sum(
-            pw.probability * likelihood_ratio(pw.profile, p)
-            for pw in enumerate_profiles(p)
+            Fraction(count, p.num_replies**q) * likelihood_ratio(CountProfile(parts), p)
+            for parts, count in enumerate_profiles(p)
         )
         assert total == 1
 
@@ -217,15 +217,16 @@ class TestSamplers:
         assert abs(hits / trials - 1 / 3) < 5 * se
 
     @pytest.mark.parametrize("sampler,weight", [
-        (sample_function_count_matrix, lambda pw, p: pw.probability),
+        (sample_function_count_matrix, lambda parts, p: 1),
         (sample_permutation_count_matrix,
-         lambda pw, p: pw.probability * likelihood_ratio(pw.profile, p)),
+         lambda parts, p: likelihood_ratio(CountProfile(parts), p)),
     ], ids=["function", "permutation"])
     def test_profile_distribution(self, sampler, weight):
         # empirical profile frequencies match the uniform probability of the
         # profile, times R(profile) under the permutation
         p = Params(4, 2, 4)
-        expected = {pw.profile.parts: float(weight(pw, p)) for pw in enumerate_profiles(p)}
+        expected = {parts: float(Fraction(count, p.num_replies**p.q) * weight(parts, p))
+                    for parts, count in enumerate_profiles(p)}
         trials = 10**5
         rows, freq = np.unique(np.sort(sampler(p, trials, make_rng(17)), axis=1),
                                axis=0, return_counts=True)

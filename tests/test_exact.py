@@ -98,19 +98,19 @@ class TestPartitions:
 
 class TestEnumerateProfiles:
     def test_weights_for_2_1_4(self):
-        got = {pw.profile.parts: pw.transcript_count for pw in
-               enumerate_profiles(Params(2, 1, 4))}
+        got = dict(enumerate_profiles(Params(2, 1, 4)))
         assert got == {(4,): 2, (3, 1): 8, (2, 2): 6}
 
     def test_counts_sum_to_all_transcripts(self):
         for n, m, q in [(2, 1, 4), (3, 1, 5), (3, 2, 4), (4, 2, 6)]:
             p = Params(n, m, q)
-            total = sum(pw.transcript_count for pw in enumerate_profiles(p))
+            total = sum(count for _, count in enumerate_profiles(p))
             assert total == p.num_replies**q
 
     def test_probabilities_sum_to_one(self):
         p = Params(3, 1, 5)
-        assert sum(pw.probability for pw in enumerate_profiles(p)) == 1
+        assert sum(Fraction(count, p.num_replies**p.q)
+                   for _, count in enumerate_profiles(p)) == 1
 
     def test_transcript_count_formula(self):
         # 2 reply values carrying counts (2, 1): 2 placements * 3 orderings
@@ -186,11 +186,12 @@ class TestExactAdvantage:
     def test_integer_kernel_matches_fraction_reference(self, small_cell_ratios):
         for p, profiles in small_cell_ratios:
             greater = less = Fraction(0)
-            for pw, ratio in profiles:
+            for _, count, ratio in profiles:
+                prob = Fraction(count, p.num_replies**p.q)
                 if ratio > 1:
-                    greater += pw.probability * (ratio - 1)
+                    greater += prob * (ratio - 1)
                 elif ratio < 1:
-                    less += pw.probability * (1 - ratio)
+                    less += prob * (1 - ratio)
             assert exact_advantage(p, VIA_R_GREATER).value == greater, p
             assert exact_advantage(p, VIA_R_LESS).value == less, p
 
@@ -226,7 +227,7 @@ class TestPrunedKernel:
         for p, profiles in small_cell_ratios:
             greater = exact_advantage(p, VIA_R_GREATER)
             less = exact_advantage(p, VIA_R_LESS)
-            assert greater.profiles_walked == sum(1 for _, r in profiles if r > 1), p
+            assert greater.profiles_walked == sum(1 for *_, r in profiles if r > 1), p
             assert less.profiles_walked == less.profiles_enumerated == len(profiles), p
 
 
@@ -245,10 +246,11 @@ class TestIntegerBounds:
     def reference(p, accepts):
         # sum of probability * (R - 1) over the profiles accepts(profile, R) takes
         total = Fraction(0)
-        for pw in enumerate_profiles(p):
-            ratio = likelihood_ratio(pw.profile, p)
-            if accepts(pw.profile, ratio):
-                total += pw.probability * (ratio - 1)
+        for parts, count in enumerate_profiles(p):
+            profile = CountProfile(parts)
+            ratio = likelihood_ratio(profile, p)
+            if accepts(profile, ratio):
+                total += Fraction(count, p.num_replies**p.q) * (ratio - 1)
         return total
 
     @given(small_cells(), st.integers(-2, 70))
@@ -270,8 +272,8 @@ class TestIntegerBounds:
     def ties(p):
         """Every threshold t at which some profile has pairs - C(q,2)/b == t
         exactly (a float, as the mean is dyadic)."""
-        return sorted({float(collision_excess_of_profile(pw.profile, p))
-                       for pw in enumerate_profiles(p)})
+        return sorted({float(collision_excess_of_profile(CountProfile(parts), p))
+                       for parts, _ in enumerate_profiles(p)})
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -313,8 +315,7 @@ class TestBruteForce:
             p = Params(b.bit_length() + 3, 4, q)
             tallies = transcript_tallies(q, b)
             assert sum(tallies.values()) == b**q
-            assert tallies == {pw.profile.parts: pw.transcript_count
-                               for pw in enumerate_profiles(p)}, (q, b)
+            assert dict(enumerate_profiles(p)) == tallies, (q, b)
 
     def test_ceiling(self):
         # 256**4, about 4.3e9 transcripts

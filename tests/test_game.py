@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from truncperm.core import (
+    CountProfile,
     Params,
     all_distinct_prob,
     collision_excess_of_profile,
@@ -121,8 +122,9 @@ class TestRuleAdvantageExact:
             if p.q >= 2:
                 cut = collision_rule_threshold(p)
                 rules[Rule(COLLISION_THRESHOLD, cut)] = lambda r, x, cut=cut: x > cut
-            terms = [(pw.probability * (r - 1), r, collision_excess_of_profile(pw.profile, p))
-                     for pw, r in profiles]
+            terms = [(Fraction(count, p.num_replies**p.q) * (r - 1), r,
+                      collision_excess_of_profile(CountProfile(parts), p))
+                     for parts, count, r in profiles]
             for rule, accepts in rules.items():
                 expected = abs(sum((w for w, r, x in terms if accepts(r, x)), Fraction(0)))
                 assert rule_advantage_exact(p, rule) == expected, (p, rule)
@@ -136,8 +138,7 @@ class TestFloatClassifier:
             cap, q = p.bucket_capacity, p.q
             counts = np.zeros((len(profiles), p.num_replies), dtype=np.int64)
             signs = []
-            for row, (pw, _) in zip(counts, profiles):
-                parts = pw.profile.parts
+            for row, (parts, _, _) in zip(counts, profiles):
                 row[: len(parts)] = parts
                 num = p.num_replies**q * math.prod(math.perm(cap, d) for d in parts)
                 excess = num - math.perm(p.domain_size, q)

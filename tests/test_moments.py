@@ -7,8 +7,6 @@ from truncperm.core import Params, make_rng
 from truncperm.moments import (
     PreconditionError,
     fourth_moment_bound_check,
-    markov_lower,
-    moments_brute,
     moments_closed_form,
     moments_empirical,
     moments_profiles,
@@ -40,7 +38,6 @@ class TestClosedForm:
     def test_params_wrappers(self):
         p = Params(3, 1, 4)
         assert moments_closed_form(p) == pair_collision_moments(4, 4)
-        assert moments_brute(p) == pair_collision_moments_brute(4, 4)
 
     def test_profile_sum_equals_transcript_walk(self):
         # both depend on (q, buckets) only: every pair with buckets**q <= 10**4
@@ -123,19 +120,6 @@ class TestWitnessPoly:
 
     def test_accepts_floats(self):
         assert tail_witness_poly(0.1) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestMarkovLower:
-    def test_values(self):
-        assert markov_lower(Fraction(1, 2), 200) == Fraction(1, 400)
-        assert markov_lower(0, 5) == 0
-        assert markov_lower(3, 3) == 1
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            markov_lower(1, 0)
-        with pytest.raises(ValueError):
-            markov_lower(5, 3)
 
 
 class TestTailProbability:
