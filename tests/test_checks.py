@@ -1,3 +1,5 @@
+import pytest
+
 from truncperm.checks import (
     check_distinct_prob_lower,
     check_distinct_prob_upper,
@@ -44,6 +46,22 @@ class TestIndividualChecks:
 
     def test_tail_probability(self):
         assert check_tail_probability(make_rng(41)).passed
+
+
+# (name, cases, worst slack) of the three checks that share the loop over
+# ALPHAS, as each gave with its own loop: the lemma rows must not move
+GRID_ROWS = {
+    check_distinct_prob_upper: ("distinct_prob_upper", 14425, 0.0),
+    check_distinct_prob_lower: ("distinct_prob_lower", 12843, 3.0316490059097606e-13),
+    check_doubling: ("score_doubling", 12843, 3.410604770600687e-13),
+}
+
+
+@pytest.mark.parametrize("check", list(GRID_ROWS), ids=lambda f: f.__name__)
+def test_alpha_grid_rows_are_pinned(check):
+    res = check()
+    assert (res.name, res.cases, res.worst_slack) == GRID_ROWS[check]
+    assert res.passed and res.violations == ()
 
 
 class TestLikelihoodExponentialBound:
