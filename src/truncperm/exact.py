@@ -110,26 +110,46 @@ def transcript_count(parts: tuple[int, ...], params: Params) -> int:
     return placements * orderings
 
 
+def _price(total: int, max_part: int, max_parts: int) -> int:
+    """The number of profiles a sum visits, `count_partitions(total, max_part,
+    max_parts)`, counted before it visits any; raises EnumerationLimitError
+    above PROFILE_CEILING."""
+    priced = count_partitions(total, max_part, max_parts)
+    if priced > PROFILE_CEILING:
+        raise EnumerationLimitError(
+            f"{priced} profiles exceed ceiling {PROFILE_CEILING}; "
+            "use mc_advantage for an estimate"
+        )
+    return priced
+
+
 def enumerate_profiles(params: Params) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every count profile of a q-query transcript as a (parts, transcript
     count) pair, the pairs `transcript_tallies` finds by listing transcripts.
 
     Profiles whose largest count exceeds the bucket capacity are included
     (they carry probability mass and likelihood ratio 0), so the transcript
-    counts sum to num_replies**q.
+    counts sum to num_replies**q.  All of them are priced when this is called,
+    before any is listed.
     """
-    for parts in _partitions(params.q, params.q, params.num_replies):
-        yield parts, transcript_count(parts, params)
+    q, b = params.q, params.num_replies
+    _price(q, q, b)
+    return ((parts, transcript_count(parts, params)) for parts in _partitions(q, q, b))
 
 
 def advantage_sum(
     params: Params, side: str | None, pairs_above: int = -1
-) -> tuple[Fraction, int]:
+) -> tuple[Fraction, int, int]:
     """Sum of probability * (R - 1) over the count profiles on `side` of
     R = 1 (VIA_R_GREATER: R > 1, VIA_R_LESS: R < 1, None: either) with more
-    than `pairs_above` colliding reply pairs sum_d C(d, 2), and the number of
-    profiles the walk reached.  Profiles are those of
-    `enumerate_profiles(params)`, in another order.
+    than `pairs_above` colliding reply pairs sum_d C(d, 2), the number of
+    profiles it was priced at and the number the walk reached.  Profiles are
+    those of `enumerate_profiles(params)`, in another order.
+
+    The walk is priced before it starts by the closed-form count of the
+    profiles it may reach, and refused (EnumerationLimitError) above
+    PROFILE_CEILING: on the greater side those within capacity (every other
+    profile has ratio 0), on the other sides every profile.
 
     With b = 2**(n-m), (x)_d the falling factorial and p = count / b**q a
     profile's uniform-oracle weight, R = b**q * P / (2**n)_q, where
@@ -153,6 +173,10 @@ def advantage_sum(
     q = params.q
     b = params.num_replies
     m = params.m
+    if side not in (VIA_R_GREATER, VIA_R_LESS, None):
+        raise ValueError(f"unknown side {side!r}")
+    max_part = min(q, params.bucket_capacity) if side == VIA_R_GREATER else q
+    priced = _price(q, max_part, b)
     falling = [1] * (q + 1)  # (2**m)_d; 0 from d = 2**m + 1 on
     for d in range(1, q + 1):
         falling[d] = falling[d - 1] * (params.bucket_capacity - d + 1)
@@ -164,8 +188,6 @@ def advantage_sum(
         lo = uniform // scale
     elif side == VIA_R_LESS:
         hi = (uniform - 1) // scale
-    elif side is not None:
-        raise ValueError(f"unknown side {side!r}")
     prune = lo >= 0
     sum_wp = sum_w = walked = 0
 
@@ -213,27 +235,7 @@ def advantage_sum(
                     sum_w += weight
 
     walk(q, q, 0, 1, 1, 0)
-    return Fraction(scale * sum_wp - uniform * sum_w, scale * uniform), walked
-
-
-def profile_budget(params: Params, identity: str = VIA_R_GREATER) -> int:
-    """Number of profiles `exact_advantage` sums for this identity, counted in
-    closed form; raises EnumerationLimitError above PROFILE_CEILING.  The
-    greater side counts only profiles within capacity (every other profile
-    has ratio 0), the less side every profile."""
-    if identity == VIA_R_GREATER:
-        max_part = min(params.q, params.bucket_capacity)
-    elif identity == VIA_R_LESS:
-        max_part = params.q
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
-    estimated = count_partitions(params.q, max_part, params.num_replies)
-    if estimated > PROFILE_CEILING:
-        raise EnumerationLimitError(
-            f"{estimated} profiles exceed ceiling {PROFILE_CEILING}; "
-            "use mc_advantage for an estimate"
-        )
-    return estimated
+    return Fraction(scale * sum_wp - uniform * sum_w, scale * uniform), priced, walked
 
 
 def exact_advantage(params: Params, identity: str = VIA_R_GREATER) -> AdvantageResult:
@@ -246,10 +248,9 @@ def exact_advantage(params: Params, identity: str = VIA_R_GREATER) -> AdvantageR
     every subtree that cannot reach R > 1; the less-side sum walks every
     profile, so the two stay independent checks of each other.  The cell is
     refused before any enumeration when its profile count exceeds
-    PROFILE_CEILING.
+    PROFILE_CEILING (see `advantage_sum`).
     """
-    profiles = profile_budget(params, identity)
-    value, walked = advantage_sum(params, identity)
+    value, profiles, walked = advantage_sum(params, identity)
     if identity == VIA_R_LESS:
         value = -value
     return AdvantageResult(value, identity, profiles, walked)

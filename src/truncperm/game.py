@@ -24,13 +24,7 @@ from .core import (
     sample_function_count_matrix,
     sample_permutation_count_matrix,
 )
-from .exact import (
-    VIA_R_GREATER,
-    VIA_R_LESS,
-    advantage_sum,
-    exact_advantage,
-    profile_budget,
-)
+from .exact import VIA_R_GREATER, advantage_sum, exact_advantage
 
 LIKELIHOOD_GREATER = "likelihood_greater_than_one"
 LIKELIHOOD_LESS = "likelihood_less_than_one"
@@ -80,14 +74,13 @@ def collision_rule_threshold(params: Params) -> float:
 def rule_advantage_exact(params: Params, rule: Rule) -> Fraction:
     """Exact advantage of an arbitrary (possibly suboptimal) rule:
     |sum over accepted profiles of (R - 1) * probability|.  Refused, like
-    `exact_advantage`, when the sum it walks is priced over PROFILE_CEILING.
-    Both likelihood rules are the pruned greater-side sum (the two sides are
-    equal by the dual identity), priced by that side alone; the collision
-    rule accepts a profile by its number of colliding reply pairs
-    sum_d C(d, 2) (see `advantage_sum`) and is priced by the full count."""
+    `exact_advantage`, when the sum it walks is priced over PROFILE_CEILING
+    (`advantage_sum` prices itself).  Both likelihood rules are the pruned
+    greater-side sum (the two sides are equal by the dual identity); the
+    collision rule accepts a profile by its number of colliding reply pairs
+    sum_d C(d, 2) and walks every profile."""
     if rule.kind in (LIKELIHOOD_GREATER, LIKELIHOOD_LESS):
         return exact_advantage(params, VIA_R_GREATER).value
-    profile_budget(params, VIA_R_LESS)
     # pairs - C(q,2)/b > t  <=>  pairs > floor(C(q,2)/b + t) for integer pairs,
     # with t taken exactly; Fraction(+-inf) raises, and -inf takes every
     # profile (pairs >= 0), +inf none (pairs <= C(q,2))
@@ -97,8 +90,7 @@ def rule_advantage_exact(params: Params, rule: Rule) -> Fraction:
         pairs_above = -1 if t < 0 else top
     else:
         pairs_above = math.floor(Fraction(top, params.num_replies) + Fraction(t))
-    value, _ = advantage_sum(params, None, pairs_above)
-    return abs(value)
+    return abs(advantage_sum(params, None, pairs_above)[0])
 
 
 @dataclass(frozen=True)

@@ -78,14 +78,17 @@ def pair_collision_moments(q: int, buckets: int) -> MomentSet:
 def _profile_moments(weights, q: int, buckets: int) -> MomentSet:
     """Averages of the statistic's first four powers over (parts, count)
     pairs: each profile's pairs - C(q, 2)/buckets, weighted by its number of
-    transcripts out of buckets**q."""
-    mean = Fraction(comb(q, 2), buckets)
-    sums = [Fraction(0)] * 4
+    transcripts out of buckets**q.  The sums run on integers,
+    sum count * (buckets * pairs - C(q, 2))**k, each divided once at the end
+    by buckets**(q + k)."""
+    top = comb(q, 2)
+    sums = [0] * 4
     for parts, count in weights:
-        x = sum(comb(d, 2) for d in parts) - mean
+        x = buckets * sum(comb(d, 2) for d in parts) - top
         for k in range(4):
             sums[k] += count * x ** (k + 1)
-    return MomentSet(*(s / buckets**q for s in sums), p=Fraction(1, buckets))
+    scaled = (Fraction(s, buckets ** (q + k)) for k, s in enumerate(sums, 1))
+    return MomentSet(*scaled, p=Fraction(1, buckets))
 
 
 def pair_collision_moments_brute(q: int, buckets: int) -> MomentSet:
@@ -102,7 +105,9 @@ def moments_closed_form(params: Params) -> MomentSet:
 def moments_profiles(params: Params) -> MomentSet:
     """The same averages as `pair_collision_moments_brute`, over the profile
     weights of `enumerate_profiles` (closed-form transcript counts), so a cell
-    costs one term per partition of q rather than per transcript."""
+    costs one term per partition of q rather than per transcript; refused
+    (EnumerationLimitError) when those partitions number over
+    PROFILE_CEILING."""
     return _profile_moments(enumerate_profiles(params), params.q, params.num_replies)
 
 

@@ -10,7 +10,6 @@ from truncperm import bounds, checks, exact, game, moments
 
 PARAMETERS = {
     exact.exact_advantage: ["params", "identity"],
-    exact.profile_budget: ["params", "identity"],
     exact.advantage_sum: ["params", "side", "pairs_above"],
     exact.enumerate_profiles: ["params"],
     exact.brute_force_advantage: ["params"],

@@ -277,14 +277,15 @@ GOLDEN_ROWS = [
       "accept_rate_permutation": "0.25354166666666667",
       "empirical_advantage": "0.02291666666666664", "std_err": "0.006367948822639409",
       "exact_advantage": "0.02411436390984696", "within_4se": "True"}),
-    # one Generator, 5000 = 78 * 64 + 8 rows
+    # one Generator, 5000 = 78 * 64 + 8 rows; p(64) = 1741630 profiles, over
+    # the ceiling, so the cross-check is left undone
     ("moments --n 12 --m 2 --q 64 --trials 5000 --seed 4",
      {"m1": "0.0", "m2": "1.966827392578125", "m3": "2.201156437397003",
       "m4": "15.029339885164518", "m2_exact": "64449/32768",
       "m4_exact": "258202093149/17179869184", "brute_matches": "",
       "emp_m2": "1.9435640625", "emp_m4": "15.239313038635254", "emp_trials": "5000",
       "empirical_within_4se": "True"}),
-    # 8**6 transcripts: the cross-check runs
+    # 11 profiles: the cross-check runs
     ("moments --n 4 --m 1 --q 6 --trials 3000 --seed 2",
      {"m1": "0.0", "m2": "1.640625", "m3": "2.87109375", "m4": "17.867431640625",
       "m2_exact": "105/64", "m4_exact": "73185/4096", "brute_matches": "True",
@@ -424,6 +425,24 @@ class TestExactCommand:
         run_cli(capsys, "exact", "--n", str(n), "--m", str(m), "--q", str(q))
         assert len(calls) == prices
 
+    def test_prints_every_digit_of_a_large_fraction(self, capsys):
+        # 751 greater-side profiles, but a 10,669-character Fraction: past the
+        # interpreter's 4300-digit cap on turning an int into text
+        cap = sys.get_int_max_str_digits()
+        code, out = run_cli(capsys, "exact", "--n", "12", "--m", "1", "--q", "1500")
+        assert sys.get_int_max_str_digits() == cap
+        row = parse_csv(out)[0]
+        want = truncperm.exact.exact_advantage(Params(12, 1, 1500)).value
+        assert code == 0
+        assert (row["status"], row["profiles"], row["profiles_walked"]) == ("ok", "751", "456")
+        num, den = row["advantage_exact"].split("/")
+        assert (len(num), len(den)) == (5334, 5334)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(int(num), int(den)) == want
+        finally:
+            sys.set_int_max_str_digits(cap)
+
     def test_refusal_reason_counts_the_first_refused_side(self, capsys):
         # both sums are over the ceiling; the greater side is priced first
         code, out = run_cli(capsys, "exact", "--n", "9", "--m", "4", "--q", "200")
@@ -479,6 +498,13 @@ class TestMomentsCommand:
         row = parse_csv(out)[0]
         assert row["brute_matches"] == "True"
         assert row["empirical_within_4se"] == "True"
+
+    def test_cross_check_runs_on_every_cell_within_the_profile_ceiling(self, capsys):
+        # 257 profiles, though 2**512 transcripts
+        code, out = run_cli(capsys, "moments", "--n", "10", "--m", "9", "--q", "512",
+                            "--trials", "1")
+        assert code == 0
+        assert parse_csv(out)[0]["brute_matches"] == "True"
 
 
 class TestGameCommand:

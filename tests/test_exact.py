@@ -112,6 +112,11 @@ class TestEnumerateProfiles:
         assert sum(Fraction(count, p.num_replies**p.q)
                    for _, count in enumerate_profiles(p)) == 1
 
+    def test_refused_when_called(self):
+        # partitions of 64 into at most 16 parts: priced before any is listed
+        with pytest.raises(EnumerationLimitError, match="^1031391 profiles exceed"):
+            enumerate_profiles(Params(8, 4, 64))
+
     def test_transcript_count_formula(self):
         # 2 reply values carrying counts (2, 1): 2 placements * 3 orderings
         assert transcript_count((2, 1), Params(2, 1, 3)) == 6
@@ -299,9 +304,27 @@ class TestIntegerBounds:
                 p, lambda prof, r: collision_excess_of_profile(prof, p) > t)
             assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, t)) == abs(above), t
 
-    def test_rejects_unknown_side(self):
+    def test_rejects_unknown_side(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("truncperm.exact.count_partitions",
+                            lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="unknown side"):
             advantage_sum(Params(2, 1, 2), "via_typo")
+        assert calls == []
+
+    @pytest.mark.parametrize("side,priced", [
+        (VIA_R_GREATER, 186), (VIA_R_LESS, 161410965), (None, 161410965),
+    ])
+    def test_each_walk_prices_itself(self, side, priced):
+        # (7, 3, 112): parts of at most 2**3 on the greater side, of any size
+        # on the others; only the greater side is within the ceiling
+        p = Params(7, 3, 112)
+        assert count_partitions(112, 8 if side == VIA_R_GREATER else 112, 16) == priced
+        if priced > PROFILE_CEILING:
+            with pytest.raises(EnumerationLimitError, match=f"^{priced} profiles exceed"):
+                advantage_sum(p, side)
+        else:
+            assert advantage_sum(p, side)[1:] == (186, 160)
 
 
 class TestBruteForce:

@@ -1,9 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from truncperm.core import Params, make_rng
+from truncperm.exact import EnumerationLimitError
 from truncperm.moments import (
     PreconditionError,
     fourth_moment_bound_check,
@@ -48,6 +50,16 @@ class TestClosedForm:
             p = Params(buckets.bit_length() + 3, 4, q)
             assert p.num_replies == buckets
             assert moments_profiles(p) == pair_collision_moments_brute(q, buckets), p
+
+    def test_profile_sum_is_priced_before_it_runs(self):
+        # partitions of 64 into at most 16 parts: 1031391 profiles
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError) as err:
+            moments_profiles(Params(8, 4, 64))
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == (
+            "1031391 profiles exceed ceiling 1000000; use mc_advantage for an estimate"
+        )
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
