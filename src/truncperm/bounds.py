@@ -47,10 +47,7 @@ def birthday_exact(n: int, q: int) -> Fraction:
     dom = 1 << n
     if q > dom:
         return Fraction(1)
-    prod = Fraction(1)
-    for i in range(1, q):
-        prod *= Fraction(dom - i, dom)
-    return 1 - prod
+    return 1 - Fraction(math.perm(dom, q), dom**q)
 
 
 def birthday_upper(n: int, q: int) -> Fraction:

@@ -166,7 +166,7 @@ def check_profile_score_maximizer() -> CheckResult:
             params = Params(n, m, q)
             balanced = CountProfile(_balanced_partition(q, b))
             best = profile_score(balanced, params)
-            for parts in _partitions(q, min(q, cap), b):
+            for parts, _ in _partitions(q, min(q, cap), b):
                 cases += 1
                 slacks.append(best - profile_score(CountProfile(parts), params))
             if q < b:

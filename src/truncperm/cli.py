@@ -470,18 +470,20 @@ OPTION_GROUPS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand.  When `command` names one, only it gets
-    its options: the others are listed, so usage and errors read the same,
-    but their options, which this call cannot reach, are not built."""
+    """The parser of every subcommand.  When `command` names one, only it is
+    built, as no other can be reached; the usage still lists them all, so
+    usage and errors read the same."""
     parser = argparse.ArgumentParser(
         prog="truncperm",
         description="truncated-permutation distinguishing-advantage laboratory",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, groups) in COMMANDS.items():
+    single = command in COMMANDS
+    # a lone subparser would set the usage's choices to itself alone
+    metavar = "{" + ",".join(COMMANDS) + "}" if single else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if single else COMMANDS:
+        fn, groups = COMMANDS[name]
         p = sub.add_parser(name)
-        if command in COMMANDS and name != command:
-            continue
         for group in groups:
             for flag, kwargs in OPTION_GROUPS[group]:
                 p.add_argument(flag, **kwargs)

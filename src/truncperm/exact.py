@@ -14,6 +14,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Iterator
@@ -58,17 +59,31 @@ class MonteCarloEstimate:
     trials: int
 
 
-def _partitions(total: int, max_part: int, max_parts: int) -> Iterator[tuple[int, ...]]:
+def _partitions(
+    total: int, max_part: int, max_parts: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Partitions of `total` into at most `max_parts` parts, each <= max_part,
-    in descending-part lexicographic order ({4}, {3,1}, {2,2}, ...).
+    in descending-part lexicographic order ({4}, {3,1}, {2,2}, ...), each with
+    its number of transcripts on `max_parts` reply values: the choices of which
+    values carry the parts, times the orderings of the `total` queries
+    (`transcript_count` with num_replies = max_parts).
 
-    A subtree whose parts cannot reach `total` is not entered."""
-    if total == 0:
-        yield ()
-    elif total <= max_part * max_parts:
-        for first in range(min(total, max_part), 0, -1):
-            for rest in _partitions(total - first, first, max_parts - 1):
-                yield (first, *rest)
+    A subtree whose parts cannot reach `total` is not entered: the largest
+    part is at least total / max_parts.  The count is carried down the walk."""
+
+    def walk(left: int, top: int, room: int, run: int, count: int):
+        # place `left` more queries in parts of size <= top on at most `room`
+        # further reply values; the last `run` parts placed have size top
+        if left == 0:
+            yield (), count
+        elif left <= top * room:
+            for d in range(min(left, top), -(-left // room) - 1, -1):
+                c = run + 1 if d == top else 1
+                w = count * comb(left, d) * room // c
+                for rest, tail in walk(left - d, d, room - 1, c, w):
+                    yield (d, *rest), tail
+
+    return walk(total, max_part, max_parts, 0, 1)
 
 
 def count_partitions(total: int, max_part: int, max_parts: int) -> int:
@@ -134,7 +149,7 @@ def enumerate_profiles(params: Params) -> Iterator[tuple[tuple[int, ...], int]]:
     """
     q, b = params.q, params.num_replies
     _price(q, q, b)
-    return ((parts, transcript_count(parts, params)) for parts in _partitions(q, q, b))
+    return _partitions(q, q, b)
 
 
 def advantage_sum(
@@ -168,7 +183,13 @@ def advantage_sum(
     greater side, a prefix with product P and r queries left is skipped once
     P * 2**(m*r) is at most the bound: as (2**m)_d <= 2**(m*d), no completion
     of it has R > 1.  A part above the capacity 2**m makes P = 0, so that
-    side never enters one.  The other sides reach every profile.
+    side never enters one.  The other sides cover every profile, and add a
+    subtree in one step once every profile in it is taken: once its prefix
+    has more than `pairs_above` pairs and P * 2**(m*r) is within the bound,
+    as P only falls and pairs only grow below it.  The subtree's
+    (sum count * P, sum count, profiles) relative to the prefix comes from a
+    memo on (queries left, largest part, reply values left), by the same
+    part recursion.  `walked` counts the profiles of such subtrees too.
     """
     q = params.q
     b = params.num_replies
@@ -191,11 +212,47 @@ def advantage_sum(
     prune = lo >= 0
     sum_wp = sum_w = walked = 0
 
+    @cache
+    def closed(left: int, top: int, room: int) -> tuple[int, int, int]:
+        # (sum w * P, sum w, profiles) over every way of placing `left` more
+        # queries in parts of size <= top on at most `room` further reply
+        # values, with w and P taken relative to the prefix
+        sp = sw = n = 0
+        for d in range(min(left, top), 1, -1):
+            if left > d * room:
+                break
+            fd = falling[d]
+            rest, p, w = left, 1, 1
+            for c in range(1, min(left // d, room) + 1):
+                p *= fd
+                w = w * comb(rest, d) * (room - c + 1) // c
+                rest -= d
+                if rest == 0:
+                    sp, sw, n = sp + w * p, sw + w, n + 1
+                elif d == 2:
+                    if rest <= room - c:
+                        w1 = w * perm(room - c, rest)
+                        sp, sw, n = sp + (w1 * p << (m * rest)), sw + w1, n + 1
+                elif rest <= (d - 1) * (room - c):
+                    p1, w1, n1 = closed(rest, d - 1, room - c)
+                    sp, sw, n = sp + w * p * p1, sw + w * w1, n + n1
+        if left <= room:
+            w1 = perm(room, left)
+            sp, sw, n = sp + (w1 << (m * left)), sw + w1, n + 1
+        return sp, sw, n
+
     def walk(left: int, top: int, k: int, prod: int, weight: int, pairs: int) -> None:
         # place `left` more queries in parts of size <= top, on at most b - k
         # further reply values
         nonlocal sum_wp, sum_w, walked
         room = b - k
+        if not prune and pairs > pairs_above and prod << (m * left) <= hi:
+            # every profile below is taken: P only falls and pairs only grow
+            sp, sw, n = closed(left, top, room)
+            sum_wp += weight * prod * sp
+            sum_w += weight * sw
+            walked += n
+            return
         for d in range(min(left, top), 1, -1):
             if left > d * room:
                 return  # smaller parts reach even less
@@ -245,8 +302,9 @@ def exact_advantage(params: Params, identity: str = VIA_R_GREATER) -> AdvantageR
     E max{R-1, 0} (VIA_R_GREATER) or E max{1-R, 0} (VIA_R_LESS); the results
     are equal.  The greater-side sum only reaches profiles within capacity,
     which keeps e.g. the m=0 birthday case feasible for large q, and skips
-    every subtree that cannot reach R > 1; the less-side sum walks every
-    profile, so the two stay independent checks of each other.  The cell is
+    every subtree that cannot reach R > 1; the less-side sum covers every
+    profile, adding each subtree in which all are taken in one step, so the
+    two stay independent checks of each other.  The cell is
     refused before any enumeration when its profile count exceeds
     PROFILE_CEILING (see `advantage_sum`).
     """

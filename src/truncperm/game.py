@@ -78,7 +78,8 @@ def rule_advantage_exact(params: Params, rule: Rule) -> Fraction:
     (`advantage_sum` prices itself).  Both likelihood rules are the pruned
     greater-side sum (the two sides are equal by the dual identity); the
     collision rule accepts a profile by its number of colliding reply pairs
-    sum_d C(d, 2) and walks every profile."""
+    sum_d C(d, 2) and covers every profile, adding each subtree whose prefix
+    already has more pairs than the threshold in one step."""
     if rule.kind in (LIKELIHOOD_GREATER, LIKELIHOOD_LESS):
         return exact_advantage(params, VIA_R_GREATER).value
     # pairs - C(q,2)/b > t  <=>  pairs > floor(C(q,2)/b + t) for integer pairs,

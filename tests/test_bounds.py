@@ -41,6 +41,12 @@ class TestBirthday:
     def test_exact_saturates(self):
         assert birthday_exact(2, 5) == 1
 
+    def test_exact_is_the_query_by_query_product(self):
+        dom, prod = 1 << 40, Fraction(1)
+        for i in range(1, 1000):
+            prod *= Fraction(dom - i, dom)
+        assert birthday_exact(40, 1000) == 1 - prod
+
     def test_upper_dominates_exact(self):
         for n in (2, 3, 4):
             for q in range(1, (1 << n) + 1):

@@ -74,6 +74,23 @@ options:
   --out OUT
 """
 
+    EXACT_HELP = """\
+usage: truncperm exact [-h] [--n N] [--m M] [--q Q] [--n-range LO HI]
+                       [--m-range LO HI] [--q-range LO HI]
+                       [--format {csv,json}] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --n N
+  --m M
+  --q Q
+  --n-range LO HI
+  --m-range LO HI
+  --q-range LO HI
+  --format {csv,json}
+  --out OUT
+"""
+
     @pytest.mark.parametrize("argv,code,out,err", [
         (["--help"], 0, USAGE + """
 truncated-permutation distinguishing-advantage laboratory
@@ -92,8 +109,12 @@ options:
         (["exact", "--n", "4", "--m", "1", "--q", "3", "extra"], 2, "",
          USAGE + "truncperm: error: unrecognized arguments: extra\n"),
         (["game", "--help"], 0, GAME_HELP, ""),
+        (["exact", "-h"], 0, EXACT_HELP, ""),
+        (["--format", "json", "exact"], 2, "", USAGE + "truncperm: error: argument "
+         "command: invalid choice: 'json' (choose from 'exact', 'bounds', 'mc', "
+         "'moments', 'game', 'lemmas', 'stream', 'bench')\n"),
     ], ids=["help", "no-command", "unknown-command", "unknown-option", "extra-argument",
-            "game-help"])
+            "game-help", "exact-help", "option-before-command"])
     def test_usage_help_and_errors(self, capsys, monkeypatch, argv, code, out, err):
         # a parser that builds only the invoked subcommand's options prints
         # the same text as one that builds them all
@@ -103,6 +124,12 @@ options:
             main()
         assert exc.value.code == code
         assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_builds_only_the_invoked_subcommand(self, command):
+        parser = build_parser(command)
+        assert list(parser._subparsers._group_actions[0].choices) == [command]
+        assert build_parser(None).format_usage() == parser.format_usage()
 
     def test_runs_as_module(self):
         proc = subprocess.run(

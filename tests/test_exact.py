@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -60,21 +61,40 @@ def advantage_sum_unpruned(params, accept):
     uniform = perm(params.domain_size, q)
     scale = params.num_replies**q
     total = 0
-    for parts in _partitions(q, min(q, cap), params.num_replies):
+    for parts, _ in _partitions(q, min(q, cap), params.num_replies):
         excess = scale * math.prod(falling[d] for d in parts) - uniform
         if accept(parts, excess):
             total += transcript_count(parts, params) * excess
     return Fraction(total, scale * uniform)
 
 
+@pytest.fixture
+def closed_subtrees(monkeypatch):
+    """The calls `advantage_sum` makes to its memoised sum over a subtree in
+    which every profile is taken."""
+    calls = []
+
+    def counted(fn):
+        memo = functools.cache(fn)
+
+        def call(*args):
+            calls.append(args)
+            return memo(*args)
+
+        return call
+
+    monkeypatch.setattr("truncperm.exact.cache", counted)
+    return calls
+
+
 class TestPartitions:
     def test_order_and_content(self):
-        got = list(_partitions(4, 4, 4))
+        got = [parts for parts, _ in _partitions(4, 4, 4)]
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_restricted(self):
-        assert list(_partitions(4, 2, 2)) == [(2, 2)]
-        assert list(_partitions(4, 2, 4)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        assert list(_partitions(4, 2, 2)) == [((2, 2), 6)]  # 4!/(2! 2!) orderings
+        assert [parts for parts, _ in _partitions(4, 2, 4)] == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_counter_agrees(self):
         for total in range(0, 9):
@@ -116,6 +136,14 @@ class TestEnumerateProfiles:
         # partitions of 64 into at most 16 parts: priced before any is listed
         with pytest.raises(EnumerationLimitError, match="^1031391 profiles exceed"):
             enumerate_profiles(Params(8, 4, 64))
+
+    def test_carried_counts_match_the_formula(self):
+        # 257 profiles (512 - k, k) on 2 reply values
+        p = Params(10, 9, 512)
+        got = list(enumerate_profiles(p))
+        assert [parts for parts, _ in got] == [(512 - k, k) if k else (512,) for k in range(257)]
+        assert len(got) == 257
+        assert all(count == transcript_count(parts, p) for parts, count in got)
 
     def test_transcript_count_formula(self):
         # 2 reply values carrying counts (2, 1): 2 placements * 3 orderings
@@ -222,6 +250,16 @@ class TestPrunedKernel:
         assert less.profiles_walked == 147273
         assert greater.profiles_walked == 122  # the profiles with R > 1
 
+    @pytest.mark.parametrize("n,m,q", [(9, 4, 48), (6, 2, 40)])
+    def test_less_side_adds_taken_subtrees_in_one_step(self, closed_subtrees, n, m, q):
+        p = Params(n, m, q)
+        greater = exact_advantage(p, VIA_R_GREATER)
+        assert closed_subtrees == []  # the pruned side visits its leaves
+        less = exact_advantage(p, VIA_R_LESS)
+        assert closed_subtrees
+        assert less.value == greater.value
+        assert less.profiles_walked == count_partitions(q, q, p.num_replies)
+
     @pytest.mark.parametrize("q", [1100, 4096])
     def test_birthday_case_for_large_q(self, q):
         # one profile, (1,) * q: the walk must not recurse once per part
@@ -303,6 +341,14 @@ class TestIntegerBounds:
             above = self.reference(
                 p, lambda prof, r: collision_excess_of_profile(prof, p) > t)
             assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, t)) == abs(above), t
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_collision_walk_closes_taken_subtrees(self, closed_subtrees, t):
+        p = Params(8, 4, 24)
+        got = rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, t))
+        assert closed_subtrees
+        assert got == abs(self.reference(
+            p, lambda prof, r: collision_excess_of_profile(prof, p) > t))
 
     def test_rejects_unknown_side(self, monkeypatch):
         calls = []
