@@ -6,6 +6,7 @@ generator."""
 from .core import (
     CountProfile,
     Params,
+    SamplerLimitError,
     all_distinct_prob,
     likelihood_ratio,
     make_rng,
@@ -37,6 +38,8 @@ from .moments import (
     moments_closed_form,
     moments_empirical,
     moments_profiles,
+    power_standard_errors,
+    profile_power_means,
     tail_probability_check,
     tail_witness_poly,
 )

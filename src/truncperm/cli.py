@@ -23,7 +23,7 @@ from functools import partial
 from . import __version__
 from .bounds import best_known_upper, bound_report
 from .checks import run_lemma_suite
-from .core import SHARD_COUNT, Params, make_rng
+from .core import SHARD_COUNT, Params, SamplerLimitError, make_rng
 from .exact import (
     EnumerationLimitError,
     VIA_R_GREATER,
@@ -43,7 +43,8 @@ from .moments import (
     PreconditionError,
     moments_closed_form,
     moments_empirical,
-    moments_profiles,
+    power_standard_errors,
+    profile_power_means,
 )
 from .stream import (
     BALANCE_MAX_N,
@@ -264,20 +265,24 @@ def moments_cell(args, p: Params):
         "m4_exact": _frac(closed.m4),
         "brute_matches": "",
     }
+    exact = (closed.m1, closed.m2, closed.m3, closed.m4)
+    means = None  # E x**k for k = 1..8 over the profiles
     try:
-        fields["brute_matches"] = ok = moments_profiles(p) == closed
+        means = profile_power_means(p, 8)
+        fields["brute_matches"] = ok = tuple(means[:4]) == exact
     except EnumerationLimitError:
         pass  # over the profile ceiling: the closed form stays unchecked
     if args.trials >= 2:
         emp = moments_empirical(p, args.trials, make_rng(args.seed))
+        # each power's standard error from the exact moments where the
+        # profile sums ran, else the sampled one
+        if means:
+            ses = power_standard_errors(means, args.trials)
+        else:
+            ses = (emp.se1, emp.se2, emp.se3, emp.se4)
         within = all(
             abs(e - float(c)) <= 4.0 * se + 1e-12
-            for e, c, se in (
-                (emp.m1, closed.m1, emp.se1),
-                (emp.m2, closed.m2, emp.se2),
-                (emp.m3, closed.m3, emp.se3),
-                (emp.m4, closed.m4, emp.se4),
-            )
+            for e, c, se in zip((emp.m1, emp.m2, emp.m3, emp.m4), exact, ses)
         )
         fields.update(
             emp_m2=emp.m2, emp_m4=emp.m4, emp_trials=emp.trials,
@@ -498,7 +503,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         rows, ok = args.fn(args)
-    except (PreconditionError, UsageError) as exc:
+    except (PreconditionError, SamplerLimitError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(rows, args)

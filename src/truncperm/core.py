@@ -215,6 +215,34 @@ def map_shards(
 # ---------------------------------------------------------------------------
 # Count-matrix samplers for the two hypotheses
 
+#: Most cells of a count matrix a sampling path takes on.  Past it
+#: `mc_advantage` samples one transcript at a time, and a cell whose single
+#: row of num_replies counters is larger is refused by `require_count_rows`.
+MATRIX_CELLS = 5 * 10**7
+
+#: numpy's multivariate hypergeometric draw takes populations below this.
+HYPERGEOMETRIC_POPULATION = 10**9
+
+
+class SamplerLimitError(ValueError):
+    """Raised, before any draw, for a cell its sampler cannot draw."""
+
+
+def require_count_rows(params: Params, permutation_arm: bool) -> None:
+    """Raise SamplerLimitError unless the count-matrix samplers can draw the
+    cell: one row of num_replies counters within MATRIX_CELLS and, for the
+    permutation arm, a population 2**n below HYPERGEOMETRIC_POPULATION."""
+    if params.num_replies > MATRIX_CELLS:
+        why = f"one row of 2**(n-m) = {params.num_replies} counters exceeds {MATRIX_CELLS} cells"
+    elif permutation_arm and params.domain_size >= HYPERGEOMETRIC_POPULATION:
+        why = (
+            f"the permutation arm's population 2**n = {params.domain_size} is not "
+            f"below numpy's hypergeometric limit {HYPERGEOMETRIC_POPULATION}"
+        )
+    else:
+        return
+    raise SamplerLimitError(f"(n, m, q) = ({params.n}, {params.m}, {params.q}): {why}")
+
 
 def sample_function_count_matrix(
     params: Params, trials: int, rng: np.random.Generator

@@ -22,8 +22,10 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
+    MATRIX_CELLS,
     CountProfile,
     Params,
+    SamplerLimitError,
     _log_ratio_terms,
     all_distinct_prob,
     count_pieces,
@@ -66,24 +68,39 @@ def _partitions(
     in descending-part lexicographic order ({4}, {3,1}, {2,2}, ...), each with
     its number of transcripts on `max_parts` reply values: the choices of which
     values carry the parts, times the orderings of the `total` queries
-    (`transcript_count` with num_replies = max_parts).
+    (`transcript_count` with num_replies = max_parts).  Both limits are at
+    least 1.
 
-    A subtree whose parts cannot reach `total` is not entered: the largest
-    part is at least total / max_parts.  The count is carried down the walk."""
+    Each level places the c parts of one distinct size d, most parts first,
+    in the shape of `advantage_sum`'s walk, and carries the count down.  No
+    part is smaller than the queries left over the reply values left, so no
+    subtree that cannot reach `total` is entered.  A tail with one shape left
+    is yielded in place: none, single queries after the parts of size 2, or
+    one part on the last reply value."""
 
-    def walk(left: int, top: int, room: int, run: int, count: int):
+    def walk(left: int, top: int, room: int, head: tuple[int, ...], count: int):
         # place `left` more queries in parts of size <= top on at most `room`
-        # further reply values; the last `run` parts placed have size top
-        if left == 0:
-            yield (), count
-        elif left <= top * room:
-            for d in range(min(left, top), -(-left // room) - 1, -1):
-                c = run + 1 if d == top else 1
-                w = count * comb(left, d) * room // c
-                for rest, tail in walk(left - d, d, room - 1, c, w):
-                    yield (d, *rest), tail
+        # further reply values, after the parts `head` of transcript count `count`
+        for d in range(min(left, top), max(1, (left - 1) // room), -1):
+            placed = []  # (c, queries left, count) after c parts of size d
+            rest, w = left, count
+            for c in range(1, min(left // d, room) + 1):
+                w = w * comb(rest, d) * (room - c + 1) // c
+                rest -= d
+                placed.append((c, rest, w))
+            for c, rest, w in reversed(placed):
+                if rest > (d - 1) * (room - c):
+                    break  # fewer parts of size d leave the smaller parts even more
+                if rest == 0 or d == 2:
+                    yield head + (d,) * c + (1,) * rest, w * perm(room - c, rest)
+                elif room - c == 1:
+                    yield head + (d,) * c + (rest,), w
+                else:
+                    yield from walk(rest, d - 1, room - c, head + (d,) * c, w)
+        if left <= room:
+            yield head + (1,) * left, count * perm(room, left)
 
-    return walk(total, max_part, max_parts, 0, 1)
+    return walk(total, max_part, max_parts, (), 1)
 
 
 def count_partitions(total: int, max_part: int, max_parts: int) -> int:
@@ -178,8 +195,10 @@ def advantage_sum(
     The walk picks each distinct part size d with its multiplicity c in one
     level, so it recurses once per distinct size (under sqrt(2q) levels), and
     carries down P, the pair count and the weight
-    count = q!/prod d! * perm(b, k)/prod c!.  The rest of a profile after its
-    parts of size 2 are placed is single queries, closed in place.  On the
+    count = q!/prod d! * perm(b, k)/prod c!, and no part is smaller than the
+    queries left over the reply values left.  The rest of a profile after its
+    parts of size 2 are placed is single queries (or none), closed in place;
+    `_partitions` has the same shape.  On the
     greater side, a prefix with product P and r queries left is skipped once
     P * 2**(m*r) is at most the bound: as (2**m)_d <= 2**(m*d), no completion
     of it has R > 1.  A part above the capacity 2**m makes P = 0, so that
@@ -187,9 +206,10 @@ def advantage_sum(
     subtree in one step once every profile in it is taken: once its prefix
     has more than `pairs_above` pairs and P * 2**(m*r) is within the bound,
     as P only falls and pairs only grow below it.  The subtree's
-    (sum count * P, sum count, profiles) relative to the prefix comes from a
-    memo on (queries left, largest part, reply values left), by the same
-    part recursion.  `walked` counts the profiles of such subtrees too.
+    (sum count * P, sum count) relative to the prefix comes from a memo on
+    (queries left, largest part, reply values left), by the same part
+    recursion.  As those sides reach every profile, the number they report
+    walked is their price.
     """
     q = params.q
     b = params.num_replies
@@ -213,49 +233,42 @@ def advantage_sum(
     sum_wp = sum_w = walked = 0
 
     @cache
-    def closed(left: int, top: int, room: int) -> tuple[int, int, int]:
-        # (sum w * P, sum w, profiles) over every way of placing `left` more
-        # queries in parts of size <= top on at most `room` further reply
-        # values, with w and P taken relative to the prefix
-        sp = sw = n = 0
-        for d in range(min(left, top), 1, -1):
-            if left > d * room:
-                break
+    def closed(left: int, top: int, room: int) -> tuple[int, int]:
+        # (sum w * P, sum w) over every way of placing `left` more queries in
+        # parts of size <= top on at most `room` further reply values, with w
+        # and P taken relative to the prefix
+        sp = sw = 0
+        # parts of size d >= 2 with d * room >= left
+        for d in range(min(left, top), (left - 1) // room or 1, -1):
             fd = falling[d]
             rest, p, w = left, 1, 1
             for c in range(1, min(left // d, room) + 1):
                 p *= fd
                 w = w * comb(rest, d) * (room - c + 1) // c
                 rest -= d
-                if rest == 0:
-                    sp, sw, n = sp + w * p, sw + w, n + 1
-                elif d == 2:
+                if rest == 0 or d == 2:  # the rest are single queries
                     if rest <= room - c:
                         w1 = w * perm(room - c, rest)
-                        sp, sw, n = sp + (w1 * p << (m * rest)), sw + w1, n + 1
+                        sp, sw = sp + (w1 * p << (m * rest)), sw + w1
                 elif rest <= (d - 1) * (room - c):
-                    p1, w1, n1 = closed(rest, d - 1, room - c)
-                    sp, sw, n = sp + w * p * p1, sw + w * w1, n + n1
+                    p1, w1 = closed(rest, d - 1, room - c)
+                    sp, sw = sp + w * p * p1, sw + w * w1
         if left <= room:
             w1 = perm(room, left)
-            sp, sw, n = sp + (w1 << (m * left)), sw + w1, n + 1
-        return sp, sw, n
+            sp, sw = sp + (w1 << (m * left)), sw + w1
+        return sp, sw
 
-    def walk(left: int, top: int, k: int, prod: int, weight: int, pairs: int) -> None:
-        # place `left` more queries in parts of size <= top, on at most b - k
+    def walk(left: int, top: int, room: int, prod: int, weight: int, pairs: int) -> None:
+        # place `left` more queries in parts of size <= top, on at most `room`
         # further reply values
         nonlocal sum_wp, sum_w, walked
-        room = b - k
         if not prune and pairs > pairs_above and prod << (m * left) <= hi:
             # every profile below is taken: P only falls and pairs only grow
-            sp, sw, n = closed(left, top, room)
+            sp, sw = closed(left, top, room)
             sum_wp += weight * prod * sp
             sum_w += weight * sw
-            walked += n
             return
-        for d in range(min(left, top), 1, -1):
-            if left > d * room:
-                return  # smaller parts reach even less
+        for d in range(min(left, top), (left - 1) // room or 1, -1):
             fd = falling[d]
             pd = d * (d - 1) // 2
             rest, p, w, x = left, prod, weight, pairs
@@ -266,12 +279,7 @@ def advantage_sum(
                 w = w * comb(rest, d) * (room - c + 1) // c
                 rest -= d
                 x += pd
-                if rest == 0:
-                    walked += 1
-                    if p <= hi and x > pairs_above:
-                        sum_wp += w * p
-                        sum_w += w
-                elif d == 2:  # the rest are single queries; p1 > lo by the check above
+                if rest == 0 or d == 2:  # the rest are single queries; p1 > lo by the check above
                     if rest <= room - c:
                         walked += 1
                         p1 = p << (m * rest)
@@ -280,7 +288,7 @@ def advantage_sum(
                             sum_wp += w1 * p1
                             sum_w += w1
                 elif rest <= (d - 1) * (room - c):
-                    walk(rest, d - 1, k + c, p, w, x)
+                    walk(rest, d - 1, room - c, p, w, x)
         # the rest are single queries on distinct reply values
         if left <= room:
             prod <<= m * left
@@ -291,8 +299,10 @@ def advantage_sum(
                     sum_wp += weight * prod
                     sum_w += weight
 
-    walk(q, q, 0, 1, 1, 0)
-    return Fraction(scale * sum_wp - uniform * sum_w, scale * uniform), priced, walked
+    walk(q, q, b, 1, 1, 0)
+    # an unpruned walk reaches every profile it was priced at
+    value = Fraction(scale * sum_wp - uniform * sum_w, scale * uniform)
+    return value, priced, walked if prune else priced
 
 
 def exact_advantage(params: Params, identity: str = VIA_R_GREATER) -> AdvantageResult:
@@ -365,13 +375,19 @@ def mc_advantage(
     Averages max{1-R, 0} over sampled transcripts; the
     likelihood ratio is evaluated in log space via table lookup on the bucket
     counts.  Reports the sample mean with its standard error (absent for a
-    single trial).
+    single trial).  Refused (SamplerLimitError) past 2**64 reply values,
+    which numpy's integer draws do not reach.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     b = params.num_replies
     q = params.q
-    if trials * b <= 5 * 10**7:
+    if b > 1 << 63:
+        raise SamplerLimitError(
+            f"(n, m, q) = ({params.n}, {params.m}, {q}): 2**(n-m) = "
+            f"2**{params.n - params.m} reply values exceed numpy's 64-bit integer draws"
+        )
+    if trials * b <= MATRIX_CELLS:
         pieces = count_pieces(sample_function_count_matrix, params, trials, rng)
         log_ratio = np.concatenate([log_likelihood_ratios(c, params) for c in pieces])
     else:

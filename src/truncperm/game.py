@@ -21,6 +21,7 @@ from .core import (
     count_pieces,
     log_likelihood_ratios,
     map_shards,
+    require_count_rows,
     sample_function_count_matrix,
     sample_permutation_count_matrix,
 )
@@ -123,8 +124,10 @@ def _play_arm_counts(
     uniform function, multivariate hypergeometric for a fresh truncated
     permutation (the exact pushforwards of per-transcript sampling).  The
     whole function arm is drawn first, then the whole permutation arm, each in
-    pieces (`count_pieces`).
+    pieces (`count_pieces`).  A cell the samplers cannot draw is refused
+    first (`require_count_rows`).
     """
+    require_count_rows(params, permutation_arm=True)
 
     def accepts(sampler) -> int:
         pieces = count_pieces(sampler, params, trials, rng)

@@ -23,6 +23,7 @@ from .core import (
     Params,
     collision_excesses,
     count_pieces,
+    require_count_rows,
     sample_function_count_matrix,
 )
 from .exact import enumerate_profiles, transcript_tallies
@@ -75,47 +76,68 @@ def pair_collision_moments(q: int, buckets: int) -> MomentSet:
     return MomentSet(Fraction(0), m2, m3, m4, p)
 
 
-def _profile_moments(weights, q: int, buckets: int) -> MomentSet:
-    """Averages of the statistic's first four powers over (parts, count)
+def _profile_moments(weights, q: int, buckets: int, powers: int) -> list[Fraction]:
+    """Averages of the statistic's first `powers` powers over (parts, count)
     pairs: each profile's pairs - C(q, 2)/buckets, weighted by its number of
     transcripts out of buckets**q.  The sums run on integers,
     sum count * (buckets * pairs - C(q, 2))**k, each divided once at the end
     by buckets**(q + k)."""
     top = comb(q, 2)
-    sums = [0] * 4
+    sums = [0] * powers
     for parts, count in weights:
         x = buckets * sum(comb(d, 2) for d in parts) - top
-        for k in range(4):
-            sums[k] += count * x ** (k + 1)
-    scaled = (Fraction(s, buckets ** (q + k)) for k, s in enumerate(sums, 1))
-    return MomentSet(*scaled, p=Fraction(1, buckets))
+        term = count
+        for k in range(powers):
+            term *= x
+            sums[k] += term
+    return [Fraction(s, buckets ** (q + k)) for k, s in enumerate(sums, 1)]
 
 
 def pair_collision_moments_brute(q: int, buckets: int) -> MomentSet:
     """Exhaustive oracle: the moments over the profile weights that
     `transcript_tallies` finds by listing every transcript (at most
     TRANSCRIPT_CEILING of them)."""
-    return _profile_moments(transcript_tallies(q, buckets).items(), q, buckets)
+    weights = transcript_tallies(q, buckets).items()
+    return MomentSet(*_profile_moments(weights, q, buckets, 4), p=Fraction(1, buckets))
 
 
 def moments_closed_form(params: Params) -> MomentSet:
     return pair_collision_moments(params.q, params.num_replies)
 
 
+def profile_power_means(params: Params, powers: int) -> list[Fraction]:
+    """E x**k for k = 1 .. `powers` of the collision excess x, exactly, over
+    the profile weights of `enumerate_profiles` (closed-form transcript
+    counts), so a cell costs one term per partition of q rather than per
+    transcript; refused (EnumerationLimitError) when those partitions number
+    over PROFILE_CEILING."""
+    return _profile_moments(enumerate_profiles(params), params.q, params.num_replies, powers)
+
+
 def moments_profiles(params: Params) -> MomentSet:
-    """The same averages as `pair_collision_moments_brute`, over the profile
-    weights of `enumerate_profiles` (closed-form transcript counts), so a cell
-    costs one term per partition of q rather than per transcript; refused
-    (EnumerationLimitError) when those partitions number over
-    PROFILE_CEILING."""
-    return _profile_moments(enumerate_profiles(params), params.q, params.num_replies)
+    """The same averages as `pair_collision_moments_brute`, from
+    `profile_power_means`."""
+    return MomentSet(*profile_power_means(params, 4), p=Fraction(1, params.num_replies))
+
+
+def power_standard_errors(means: list[Fraction], trials: int) -> list[float]:
+    """Standard errors of the sample means of x, x**2, ... over `trials`
+    draws, sqrt((E x**(2k) - (E x**k)**2) / trials), from the exact power
+    means E x, E x**2, ... (`profile_power_means`); half as many as given."""
+    return [
+        math.sqrt(float(means[2 * k - 1] - means[k - 1] ** 2) / trials)
+        for k in range(1, len(means) // 2 + 1)
+    ]
 
 
 def _sample_excess(
     params: Params, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Collision-excess values of `trials` uniform transcripts, via their
-    multinomial bucket counts (drawn in pieces, `count_pieces`)."""
+    multinomial bucket counts (drawn in pieces, `count_pieces`); refused
+    before any draw where one row of counts is too large
+    (`require_count_rows`)."""
+    require_count_rows(params, permutation_arm=False)
     pieces = count_pieces(sample_function_count_matrix, params, trials, rng)
     return np.concatenate([collision_excesses(c, params) for c in pieces])
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import truncperm.cli as cli
+import truncperm.core
 import truncperm.exact
 import truncperm.game
 import truncperm.moments
@@ -305,14 +307,16 @@ GOLDEN_ROWS = [
       "empirical_advantage": "0.02291666666666664", "std_err": "0.006367948822639409",
       "exact_advantage": "0.02411436390984696", "within_4se": "True"}),
     # one Generator, 5000 = 78 * 64 + 8 rows; p(64) = 1741630 profiles, over
-    # the ceiling, so the cross-check is left undone
+    # the ceiling, so the cross-check is left undone and the sampled
+    # standard errors gate the flag
     ("moments --n 12 --m 2 --q 64 --trials 5000 --seed 4",
      {"m1": "0.0", "m2": "1.966827392578125", "m3": "2.201156437397003",
       "m4": "15.029339885164518", "m2_exact": "64449/32768",
       "m4_exact": "258202093149/17179869184", "brute_matches": "",
       "emp_m2": "1.9435640625", "emp_m4": "15.239313038635254", "emp_trials": "5000",
       "empirical_within_4se": "True"}),
-    # 11 profiles: the cross-check runs
+    # 11 profiles: the cross-check runs, and the exact standard errors gate
+    # the flag
     ("moments --n 4 --m 1 --q 6 --trials 3000 --seed 2",
      {"m1": "0.0", "m2": "1.640625", "m3": "2.87109375", "m4": "17.867431640625",
       "m2_exact": "105/64", "m4_exact": "73185/4096", "brute_matches": "True",
@@ -368,6 +372,47 @@ class TestSeededRows:
         assert len(calls) > 1
         assert all(rows * b <= CHUNK_CELLS or rows == 1 for rows, b in calls), calls
         assert sum(rows for rows, _ in calls) == int(argv[-1]) * (2 if argv[0] == "game" else 1)
+
+
+# cells the samplers cannot draw
+UNDRAWABLE = [
+    # numpy's hypergeometric draw takes populations 2**n below 10**9
+    "game --n 30 --m 10 --q 8 --trials 10",
+    "game --n 40 --m 39 --q 3 --trials 10",
+    # one row of 2**(n-m) counters over MATRIX_CELLS
+    "game --n 28 --m 1 --q 3 --trials 10",
+    "moments --n 30 --m 0 --q 3 --trials 10",
+    # 2**64 reply values, past numpy's integer draws
+    "mc --n 64 --m 0 --q 2 --trials 10",
+]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestUndrawableCells:
+    @pytest.mark.parametrize("argv", UNDRAWABLE)
+    def test_exit_2_with_one_line(self, argv):
+        # in a child with a 1 GiB address space and a 60 s deadline
+        proc = subprocess.run(
+            [sys.executable, "-m", "truncperm", *argv.split()],
+            capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", UNDRAWABLE)
+    def test_refused_before_any_draw(self, capsys, monkeypatch, argv):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew with {name}")
+
+        monkeypatch.setattr(truncperm.core, "spawn_rngs", lambda seed, count: [NoDraws()] * count)
+        monkeypatch.setattr(cli, "make_rng", lambda seed: NoDraws())
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err.startswith("error: (n, m, q) = ")
 
 
 class TestExactCommand:
@@ -525,6 +570,17 @@ class TestMomentsCommand:
         row = parse_csv(out)[0]
         assert row["brute_matches"] == "True"
         assert row["empirical_within_4se"] == "True"
+
+    def test_sampled_moments_are_held_to_their_exact_standard_errors(self, capsys):
+        # 22 profiles: E x**8 gives x**4 a standard error of 3.46 at 500
+        # trials, 7.4 times the sampled 0.466, so emp_m4 = 2.51 against
+        # m4 = 4.79 is 0.66 of it off, not 4.9
+        code, out = run_cli(capsys, "moments", "--n", "5", "--m", "0", "--q", "8",
+                            "--trials", "500", "--seed", "2")
+        row = parse_csv(out)[0]
+        assert code == 0
+        assert (row["brute_matches"], row["emp_m4"], row["empirical_within_4se"]) == (
+            "True", "2.510634765625", "True")
 
     def test_cross_check_runs_on_every_cell_within_the_profile_ceiling(self, capsys):
         # 257 profiles, though 2**512 transcripts

@@ -10,9 +10,11 @@ import truncperm.core as core
 from truncperm.core import (
     CHUNK_CELLS,
     LOG_ZERO,
+    MATRIX_CELLS,
     SHARD_COUNT,
     CountProfile,
     Params,
+    SamplerLimitError,
     all_distinct_prob,
     collision_excess_of_profile,
     collision_excesses,
@@ -21,11 +23,12 @@ from truncperm.core import (
     log_likelihood_ratios,
     make_rng,
     map_shards,
+    require_count_rows,
     sample_function_count_matrix,
     sample_permutation_count_matrix,
     spawn_rngs,
 )
-from truncperm.exact import enumerate_profiles, mc_advantage_sharded
+from truncperm.exact import enumerate_profiles, mc_advantage, mc_advantage_sharded
 from truncperm.game import optimal_rule, play_game_sharded
 
 
@@ -329,3 +332,26 @@ class TestMapShards:
             mc_advantage_sharded(p, trials, 0)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             play_game_sharded(p, optimal_rule(), trials, 0)
+
+
+class TestSamplerLimits:
+    """Cells the samplers cannot draw are refused before any draw."""
+
+    def test_one_row_of_counters(self):
+        assert MATRIX_CELLS == 5 * 10**7
+        require_count_rows(Params(25, 0, 2), permutation_arm=False)  # 2**25 counters
+        with pytest.raises(SamplerLimitError, match=r"^\(n, m, q\) = \(26, 0, 2\): one row of "
+                           r"2\*\*\(n-m\) = 67108864 counters exceeds 50000000 cells$"):
+            require_count_rows(Params(26, 0, 2), permutation_arm=False)
+
+    def test_permutation_population(self):
+        require_count_rows(Params(29, 10, 2), permutation_arm=True)
+        require_count_rows(Params(30, 10, 2), permutation_arm=False)
+        with pytest.raises(SamplerLimitError, match=r"population 2\*\*n = 1073741824 is not "
+                           r"below numpy's hypergeometric limit 1000000000$"):
+            require_count_rows(Params(30, 10, 2), permutation_arm=True)
+
+    def test_reply_values_past_64_bit_draws(self):
+        assert mc_advantage(Params(63, 0, 2), 3, make_rng(0)).trials == 3
+        with pytest.raises(SamplerLimitError, match=r"2\*\*64 reply values exceed"):
+            mc_advantage(Params(64, 0, 2), 3, make_rng(0))

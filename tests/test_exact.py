@@ -50,6 +50,23 @@ def count_partitions_recursive(total, max_part, max_parts):
     )
 
 
+def partitions_per_part(total, max_part, max_parts):
+    """The one-frame-per-part walk `_partitions` replaced, kept as reference:
+    each level places one part, counting the run of equal parts above it."""
+
+    def walk(left, top, room, run, count):
+        if left == 0:
+            yield (), count
+        elif left <= top * room:
+            for d in range(min(left, top), -(-left // room) - 1, -1):
+                c = run + 1 if d == top else 1
+                w = count * comb(left, d) * room // c
+                for rest, tail in walk(left - d, d, room - 1, c, w):
+                    yield (d, *rest), tail
+
+    return walk(total, max_part, max_parts, 0, 1)
+
+
 def advantage_sum_unpruned(params, accept):
     """The leaf-by-leaf kernel the pruned walk replaced, kept as reference:
     every profile within capacity, `accept(parts, excess)`."""
@@ -103,6 +120,20 @@ class TestPartitions:
                     assert count_partitions(total, max_part, max_parts) == sum(
                         1 for _ in _partitions(total, max_part, max_parts)
                     )
+
+    def test_matches_the_per_part_walk(self):
+        # same (parts, count) pairs in the same order
+        for total in range(31):
+            for max_part in range(1, 13):
+                for max_parts in range(1, 13):
+                    args = (total, max_part, max_parts)
+                    assert list(_partitions(*args)) == list(partitions_per_part(*args)), args
+
+    @pytest.mark.parametrize("args", [(512, 512, 2), (300, 300, 3)])
+    def test_matches_the_per_part_walk_on_few_large_parts(self, args):
+        got = list(_partitions(*args))
+        assert got == list(partitions_per_part(*args))
+        assert len(got) == count_partitions(*args)
 
     def test_closed_form_matches_recursion(self):
         for total in range(31):
@@ -259,6 +290,24 @@ class TestPrunedKernel:
         assert closed_subtrees
         assert less.value == greater.value
         assert less.profiles_walked == count_partitions(q, q, p.num_replies)
+
+    def test_unpruned_sums_walk_every_profile_they_are_priced_at(self):
+        # the less side, and the collision rule at three pair bounds, on the
+        # 927 cells with n <= 7 priced at most 10**4 profiles; (12, 6, 48)
+        # above checks a larger one
+        cells = [Params(n, m, q) for n in range(1, 8) for m in range(n)
+                 for q in range(1, (1 << n) + 1)]
+        checked = 0
+        for p in cells:
+            priced = count_partitions(p.q, p.q, p.num_replies)
+            if priced > 10**4:
+                continue
+            checked += 1
+            mean = comb(p.q, 2) // p.num_replies
+            for side, above in [(VIA_R_LESS, -1), (None, mean - 1), (None, mean),
+                                (None, mean + 2)]:
+                assert advantage_sum(p, side, above)[1:] == (priced, priced), (p, above)
+        assert checked == 927
 
     @pytest.mark.parametrize("q", [1100, 4096])
     def test_birthday_case_for_large_q(self, q):

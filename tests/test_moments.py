@@ -5,15 +5,18 @@ from fractions import Fraction
 import pytest
 
 from truncperm.core import Params, make_rng
-from truncperm.exact import EnumerationLimitError
+from truncperm.exact import EnumerationLimitError, transcript_tallies
 from truncperm.moments import (
     PreconditionError,
     fourth_moment_bound_check,
     moments_closed_form,
     moments_empirical,
+    _profile_moments,
     moments_profiles,
     pair_collision_moments,
     pair_collision_moments_brute,
+    power_standard_errors,
+    profile_power_means,
     tail_probability_check,
     tail_witness_poly,
 )
@@ -50,6 +53,15 @@ class TestClosedForm:
             p = Params(buckets.bit_length() + 3, 4, q)
             assert p.num_replies == buckets
             assert moments_profiles(p) == pair_collision_moments_brute(q, buckets), p
+
+    def test_eight_powers_equal_the_transcript_walk(self):
+        cells = [(q, 1 << k) for k in range(1, 14) for q in range(1, 14)
+                 if (1 << k) ** q <= 10**4]
+        for q, buckets in cells:
+            p = Params(buckets.bit_length() + 3, 4, q)
+            brute = _profile_moments(transcript_tallies(q, buckets).items(), q, buckets, 8)
+            assert profile_power_means(p, 8) == brute, p
+            assert profile_power_means(p, 8)[:4] == profile_power_means(p, 4)
 
     def test_profile_sum_is_priced_before_it_runs(self):
         # partitions of 64 into at most 16 parts: 1031391 profiles
@@ -91,6 +103,19 @@ class TestEmpirical:
         closed = moments_closed_form(p)
         classical = math.sqrt(float(closed.m2) / emp.trials)
         assert emp.se1 == pytest.approx(classical, rel=0.1)
+
+    def test_exact_standard_errors(self):
+        # two replies on two values: x = +-1/2, so x**2 = 1/4 always
+        means = profile_power_means(Params(2, 1, 2), 4)
+        assert means == [0, Fraction(1, 4), 0, Fraction(1, 16)]
+        assert power_standard_errors(means, 100) == [0.05, 0.0]
+
+    def test_first_standard_error_is_the_closed_form_one(self):
+        # E x = 0, so the mean's standard error is sqrt(m2 / trials)
+        p = Params(6, 3, 16)
+        ses = power_standard_errors(profile_power_means(p, 8), 4000)
+        assert len(ses) == 4
+        assert ses[0] == pytest.approx(math.sqrt(moments_closed_form(p).m2 / 4000), rel=1e-12)
 
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):
