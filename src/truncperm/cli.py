@@ -41,8 +41,8 @@ from .game import (
 )
 from .moments import (
     PreconditionError,
-    moments_closed_form,
     moments_empirical,
+    pair_collision_moments,
     power_standard_errors,
     profile_power_means,
 )
@@ -255,7 +255,7 @@ def mc_cell(args, p: Params):
 
 def moments_cell(args, p: Params):
     ok = True
-    closed = moments_closed_form(p)
+    closed = pair_collision_moments(p.q, p.num_replies)
     fields = {
         "m1": float(closed.m1),
         "m2": float(closed.m2),
@@ -363,6 +363,8 @@ def _build_perm(args):
         return FeistelPermutation(args.n, args.seed.to_bytes(8, "little", signed=True))
     except ValueError as exc:  # the backend's width check
         raise UsageError(str(exc)) from exc
+    except OverflowError as exc:  # the key is the seed's 8 bytes
+        raise UsageError("--perm feistel needs --seed below 2**63") from exc
 
 
 def _stream_config(args) -> StreamConfig:
@@ -425,15 +427,21 @@ def cmd_bench(args):
     return [_row(args, fields, t0)], True
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the trial, worker and repetition counts."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type of an integer option of at least `low`: 1 for the trial,
+    worker and repetition counts, 0 for the seed."""
+    kind = "positive" if low else "non-negative"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+
+    return parse
 
 
 def default_workers() -> int:
@@ -455,9 +463,9 @@ OPTION_GROUPS = {
         ("--m-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
         ("--q-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
     ),
-    "trials": (("--trials", dict(type=_positive_int, default=10**5)),),
-    "seed": (("--seed", dict(type=int, default=0)),),
-    "workers": (("--workers", dict(type=_positive_int, default=default_workers())),),
+    "trials": (("--trials", dict(type=_int_at_least(1), default=10**5)),),
+    "seed": (("--seed", dict(type=_int_at_least(0), default=0)),),
+    "workers": (("--workers", dict(type=_int_at_least(1), default=default_workers())),),
     "rule": (
         ("--rule", dict(choices=("optimal", "optimal-less", "collision"), default="optimal")),
     ),
@@ -470,7 +478,7 @@ OPTION_GROUPS = {
         ("--perm", dict(choices=("explicit", "feistel"), default="explicit")),
     ),
     "balance": (("--balance", dict(action="store_true")),),
-    "repetitions": (("--repetitions", dict(type=_positive_int, default=5)),),
+    "repetitions": (("--repetitions", dict(type=_int_at_least(1), default=5)),),
 }
 
 

@@ -82,11 +82,6 @@ class CountProfile:
             raise ValueError("profile parts must be sorted descending")
 
     @property
-    def k(self) -> int:
-        """Number of reply values that occur at least once."""
-        return len(self.parts)
-
-    @property
     def total(self) -> int:
         return sum(self.parts)
 
@@ -181,6 +176,12 @@ SHARD_COUNT = 32
 #: call for all of them, so the piece size changes memory, never results.
 CHUNK_CELLS = 2**16
 
+#: Most bytes of count rows a cell's threads hold at once, 8 per counter.  A
+#: cell with longer rows runs its shards on fewer threads, and from rows of
+#: 2**24 counters on serially, so that every row `require_count_rows` admits
+#: is drawn within 1 GiB.
+THREAD_ROW_BYTES = 2**27
+
 _T = TypeVar("_T")
 
 
@@ -199,15 +200,16 @@ def map_shards(
 
     A cell whose whole trials x buckets count matrix fits in one piece
     (`count_pieces`) runs its shards serially: a thread pool costs more than
-    it saves there."""
+    it saves there.  Threads are also capped by THREAD_ROW_BYTES."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     base, extra = divmod(trials, SHARD_COUNT)
     rngs = spawn_rngs(seed, SHARD_COUNT)
     shards = [(base + (i < extra), rngs[i]) for i in range(min(trials, SHARD_COUNT))]
-    if trials * params.num_replies <= CHUNK_CELLS or workers <= 1:
+    threads = min(workers, THREAD_ROW_BYTES // (8 * params.num_replies))
+    if trials * params.num_replies <= CHUNK_CELLS or threads <= 1:
         return [fn(t, rng) for t, rng in shards]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, t, rng) for t, rng in shards]
         return [f.result() for f in futures]
 
@@ -250,7 +252,7 @@ def sample_function_count_matrix(
     """Bucket-count vectors of `trials` independent uniform-function
     transcripts (the multinomial pushforward of iid sampling)."""
     b = params.num_replies
-    return rng.multinomial(params.q, [1.0 / b] * b, size=trials)
+    return rng.multinomial(params.q, np.full(b, 1.0 / b), size=trials)
 
 
 def sample_permutation_count_matrix(
@@ -260,7 +262,7 @@ def sample_permutation_count_matrix(
     transcripts.  Bucketing a uniform without-replacement sample of q values
     out of 2**n, with 2**m values per bucket, is exactly a multivariate
     hypergeometric draw."""
-    colors = [params.bucket_capacity] * params.num_replies
+    colors = np.full(params.num_replies, params.bucket_capacity, dtype=np.int64)
     return rng.multivariate_hypergeometric(colors, params.q, size=trials)
 
 

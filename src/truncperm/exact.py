@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, perm
 from typing import Iterator
 
 import numpy as np
@@ -67,9 +67,9 @@ def _partitions(
     """Partitions of `total` into at most `max_parts` parts, each <= max_part,
     in descending-part lexicographic order ({4}, {3,1}, {2,2}, ...), each with
     its number of transcripts on `max_parts` reply values: the choices of which
-    values carry the parts, times the orderings of the `total` queries
-    (`transcript_count` with num_replies = max_parts).  Both limits are at
-    least 1.
+    values carry the parts, perm(max_parts, k) / prod_c c! for k parts of
+    which c share a size, times the orderings of the `total` queries,
+    total! / prod_d d!.  Both limits are at least 1.
 
     Each level places the c parts of one distinct size d, most parts first,
     in the shape of `advantage_sum`'s walk, and carries the count down.  No
@@ -125,21 +125,6 @@ def count_partitions(total: int, max_part: int, max_parts: int) -> int:
         for j in range(i, total + 1):  # divided by (1 - x**i)
             coeffs[j] += coeffs[j - i]
     return coeffs[total]
-
-
-def transcript_count(parts: tuple[int, ...], params: Params) -> int:
-    """Number of transcripts with this count profile: choices of which reply
-    values carry the counts, times orderings of the query indices."""
-    b = params.num_replies
-    k = len(parts)
-    mult = Counter(parts)
-    placements = perm(b, k)
-    for c in mult.values():
-        placements //= factorial(c)
-    orderings = factorial(params.q)
-    for d in parts:
-        orderings //= factorial(d)
-    return placements * orderings
 
 
 def _price(total: int, max_part: int, max_parts: int) -> int:

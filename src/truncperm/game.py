@@ -146,18 +146,6 @@ def _result_from_accepts(acc_fun: int, acc_perm: int, trials: int) -> GameResult
     return GameResult(trials, r_fun, r_perm, abs(r_perm - r_fun), se)
 
 
-def play_game(
-    params: Params, rule: Rule, trials: int, rng: np.random.Generator
-) -> GameResult:
-    """Run `trials` independent transcripts under each oracle, apply the rule,
-    and report acceptance rates, their absolute gap, and the binomial
-    standard error of the gap."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    acc_fun, acc_perm = _play_arm_counts(params, rule, trials, rng)
-    return _result_from_accepts(acc_fun, acc_perm, trials)
-
-
 def play_game_sharded(
     params: Params,
     rule: Rule,
@@ -165,8 +153,11 @@ def play_game_sharded(
     seed: int | None,
     workers: int = 1,
 ) -> GameResult:
-    """Sharded `play_game`: acceptance counts merge as integer sums in fixed
-    shard order, so the result depends only on (seed, trials)."""
+    """Run `trials` independent transcripts under each oracle, apply the rule,
+    and report acceptance rates, their absolute gap, and the binomial
+    standard error of the gap.  The trials run in the fixed shards of
+    `map_shards`, and acceptance counts merge as integer sums in shard order,
+    so the result depends only on (seed, trials)."""
     shots = map_shards(
         lambda t, rng: _play_arm_counts(params, rule, t, rng), params, trials, seed, workers
     )

@@ -43,7 +43,6 @@ class MomentSet:
     m2: Fraction
     m3: Fraction
     m4: Fraction
-    p: Fraction  # single-pair collision probability, 1/#buckets
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def pair_collision_moments(q: int, buckets: int) -> MomentSet:
         + 54 * comb(q, 3) * p**2 * (1 - p) * (1 - Fraction(5, 3) * p)
         + comb(q, 2) * p * (1 - p) * (1 - 3 * p + 3 * p**2)
     )
-    return MomentSet(Fraction(0), m2, m3, m4, p)
+    return MomentSet(Fraction(0), m2, m3, m4)
 
 
 def _profile_moments(weights, q: int, buckets: int, powers: int) -> list[Fraction]:
@@ -98,26 +97,17 @@ def pair_collision_moments_brute(q: int, buckets: int) -> MomentSet:
     `transcript_tallies` finds by listing every transcript (at most
     TRANSCRIPT_CEILING of them)."""
     weights = transcript_tallies(q, buckets).items()
-    return MomentSet(*_profile_moments(weights, q, buckets, 4), p=Fraction(1, buckets))
-
-
-def moments_closed_form(params: Params) -> MomentSet:
-    return pair_collision_moments(params.q, params.num_replies)
+    return MomentSet(*_profile_moments(weights, q, buckets, 4))
 
 
 def profile_power_means(params: Params, powers: int) -> list[Fraction]:
     """E x**k for k = 1 .. `powers` of the collision excess x, exactly, over
     the profile weights of `enumerate_profiles` (closed-form transcript
     counts), so a cell costs one term per partition of q rather than per
-    transcript; refused (EnumerationLimitError) when those partitions number
-    over PROFILE_CEILING."""
+    transcript; the first four are `pair_collision_moments_brute`'s.  Refused
+    (EnumerationLimitError) when those partitions number over
+    PROFILE_CEILING."""
     return _profile_moments(enumerate_profiles(params), params.q, params.num_replies, powers)
-
-
-def moments_profiles(params: Params) -> MomentSet:
-    """The same averages as `pair_collision_moments_brute`, from
-    `profile_power_means`."""
-    return MomentSet(*profile_power_means(params, 4), p=Fraction(1, params.num_replies))
 
 
 def power_standard_errors(means: list[Fraction], trials: int) -> list[float]:

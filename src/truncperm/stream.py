@@ -21,11 +21,8 @@ import statistics
 import struct
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-
-from .bounds import stam_upper_simplified
 
 # Counters evaluated and packed per block.  A multiple of 8, so a full block
 # of bit-packed symbols ends on a byte boundary whatever the symbol width.
@@ -68,8 +65,8 @@ class FeistelPermutation:
     """Fixed-round balanced Feistel network over n bits with a keyed BLAKE2b
     round function.
 
-    Bijective by construction (and invertible), but not a uniformly random
-    permutation: use it for throughput demos, never for distribution claims.
+    Bijective by construction, but not a uniformly random permutation: use it
+    for throughput demos, never for distribution claims.
     A real 128-bit block cipher can be dropped in behind the same interface.
     """
 
@@ -130,12 +127,6 @@ class FeistelPermutation:
     def _hash_all(self, r: int, values) -> np.ndarray:
         """Round r's function of each value, as a uint64 array."""
         return np.fromiter((self._round(r, v) for v in values), np.uint64, len(values))
-
-    def inverse(self, y: int) -> int:
-        left, right = y >> self._half, y & self._mask
-        for r in reversed(range(self.rounds)):
-            left, right = right ^ self._round(r, left), left
-        return (left << self._half) | right
 
 
 def _blocks(perm, n: int, start: int, stop: int):
@@ -248,15 +239,6 @@ def balance_check(perm, n: int, m: int) -> BalanceResult:
     return BalanceResult(bool(np.all(hist == (1 << m))), hist)
 
 
-def security_margin(n: int, m: int, q: int) -> Fraction | float:
-    """Advertised ceiling on the distinguishing advantage for a stream of q
-    symbols: the simplified beyond-birthday bound q / 2**((n+m)/2)."""
-    bound = stam_upper_simplified(n, m, q)
-    if not bound.valid:
-        raise ValueError("bound requires q <= (3/4) * 2**n")
-    return bound.value
-
-
 def stream_length_bytes(n: int, m: int, q: int) -> int:
     """Bit-packed length of a q-symbol stream, in bytes (rounded up)."""
     return (q * (n - m) + 7) // 8
@@ -265,7 +247,6 @@ def stream_length_bytes(n: int, m: int, q: int) -> int:
 @dataclass(frozen=True)
 class BenchResult:
     bytes_written: int
-    seconds: float  # median over repetitions
     bytes_per_second: float
     seconds_per_symbol: float
 
@@ -287,7 +268,6 @@ def throughput_bench(make_perm, cfg: StreamConfig, repetitions: int = 5) -> Benc
     med = statistics.median(times)
     return BenchResult(
         bytes_written=written,
-        seconds=med,
         bytes_per_second=written / med if med > 0 else float("inf"),
         seconds_per_symbol=med / cfg.count if cfg.count else 0.0,
     )

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -387,18 +388,28 @@ UNDRAWABLE = [
 ]
 
 
+SRC = os.path.dirname(os.path.dirname(truncperm.core.__file__))
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_capped(argv, cwd=None):
+    """`truncperm argv` in a child with a 1 GiB address space and a 60 s
+    deadline, importing the package this test imports from any `cwd`."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "truncperm", *argv.split()], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+    )
 
 
 class TestUndrawableCells:
     @pytest.mark.parametrize("argv", UNDRAWABLE)
     def test_exit_2_with_one_line(self, argv):
-        # in a child with a 1 GiB address space and a 60 s deadline
-        proc = subprocess.run(
-            [sys.executable, "-m", "truncperm", *argv.split()],
-            capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
-        )
+        proc = run_capped(argv)
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
@@ -413,6 +424,76 @@ class TestUndrawableCells:
         monkeypatch.setattr(cli, "make_rng", lambda seed: NoDraws())
         assert main(argv.split()) == 2
         assert capsys.readouterr().err.startswith("error: (n, m, q) = ")
+
+
+# rows of 2**24 and 2**25 counters, the longest `require_count_rows` admits:
+# drawn with numpy pvals and colors, and one row at a time, they fit in 1 GiB
+LONG_ROWS = [
+    "moments --n 25 --m 0 --q 3 --trials 2",
+    "game --n 25 --m 0 --q 3 --trials 2",
+    "game --n 24 --m 0 --q 3 --trials 2",
+    "game --n 24 --m 0 --q 3 --trials 2 --rule collision",
+]
+
+
+class TestLongRows:
+    @pytest.mark.parametrize("argv", LONG_ROWS)
+    def test_drawn_within_1_gib(self, argv):
+        proc = run_capped(argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-300:]
+        assert len(parse_csv(proc.stdout)) == 1
+
+    def test_threads_are_capped_by_row_bytes(self, monkeypatch):
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(truncperm.core, "ThreadPoolExecutor", Recording)
+        for n in (21, 22, 23, 24, 25):
+            truncperm.core.map_shards(lambda t, rng: None, Params(n, 0, 3), 8, 0, workers=8)
+        # 2**27 bytes of rows: 8 threads at 2**21 counters, serial from 2**24 on
+        assert pools == [8, 4, 2]
+
+
+# --seed takes non-negative integers on every subcommand; the Feistel key is
+# the seed's 8 bytes, so that backend also needs it below 2**63
+SEED_ERRORS = [
+    *((argv, f"argument --seed: must be a non-negative integer, got '{argv.split()[-1]}'")
+      for argv in ["mc --n 4 --m 2 --q 4 --trials 10 --seed -1",
+                   "game --n 4 --m 2 --q 4 --trials 10 --seed -1",
+                   "moments --n 4 --m 2 --q 4 --trials 10 --seed -1",
+                   "lemmas --seed -1",
+                   "stream --n 8 --m 4 --count 256 --seed -1",
+                   "bench --n 8 --m 4 --count 256 --seed -1",
+                   "stream --n 8 --m 4 --count 256 --perm feistel --seed -3",
+                   "mc --n 4 --m 2 --q 4 --seed x"]),
+    *((argv, "error: --perm feistel needs --seed below 2**63")
+      for argv in ["stream --n 8 --m 4 --count 256 --perm feistel --seed 9223372036854775808",
+                   "bench --n 8 --m 4 --count 256 --perm feistel --seed 9223372036854775808"]),
+]
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize("argv,message", SEED_ERRORS, ids=[a for a, _ in SEED_ERRORS])
+    def test_exit_2_with_one_error_line(self, tmp_path, argv, message):
+        proc = run_capped(argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.splitlines()[-1].endswith(message)
+        assert proc.stderr.count("error") == 1 and "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_feistel_seed_is_its_key(self, capsys, tmp_path):
+        # 2**63 - 1 is the last seed whose signed 8 bytes make the key
+        out = tmp_path / "ks.bin"
+        seed = (1 << 63) - 1
+        run_cli(capsys, "stream", "--n", "8", "--m", "4", "--count", "256",
+                "--perm", "feistel", "--seed", str(seed), "--out", str(out))
+        perm = FeistelPermutation(8, seed.to_bytes(8, "little"))
+        assert list(out.read_bytes()) == [perm(x) >> 4 << 4 | perm(x + 1) >> 4
+                                          for x in range(0, 256, 2)]
 
 
 class TestExactCommand:

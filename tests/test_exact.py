@@ -2,7 +2,8 @@ import functools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from collections import Counter
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,6 @@ from truncperm.exact import (
     mc_advantage,
     mc_advantage_sharded,
     profile_score,
-    transcript_count,
     transcript_tallies,
 )
 from truncperm.core import CountProfile
@@ -48,6 +48,19 @@ def count_partitions_recursive(total, max_part, max_parts):
         count_partitions_recursive(total - first, first, max_parts - 1)
         for first in range(min(total, max_part), 0, -1)
     )
+
+
+def transcript_count(parts, params):
+    """Number of transcripts with this count profile, kept as reference:
+    choices of which reply values carry the counts, times orderings of the
+    query indices."""
+    placements = perm(params.num_replies, len(parts))
+    for c in Counter(parts).values():
+        placements //= factorial(c)
+    orderings = factorial(params.q)
+    for d in parts:
+        orderings //= factorial(d)
+    return placements * orderings
 
 
 def partitions_per_part(total, max_part, max_parts):

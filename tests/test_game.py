@@ -11,7 +11,6 @@ from truncperm.core import (
     collision_excess_of_profile,
     log_all_distinct_table,
     log_likelihood_ratios,
-    make_rng,
 )
 from truncperm.exact import PROFILE_CEILING, EnumerationLimitError, exact_advantage
 from truncperm.game import (
@@ -22,7 +21,6 @@ from truncperm.game import (
     _result_from_accepts,
     collision_rule_threshold,
     optimal_rule,
-    play_game,
     play_game_sharded,
     rule_advantage_exact,
 )
@@ -155,7 +153,7 @@ class TestPlayGame:
     def test_converges_to_exact(self):
         p = Params(8, 4, 32)
         exact = float(exact_advantage(p).value)
-        res = play_game(p, optimal_rule(), 10**5, make_rng(29))
+        res = play_game_sharded(p, optimal_rule(), 10**5, 29)
         assert res.standard_error > 0
         assert abs(res.empirical_advantage - exact) < 4 * res.standard_error
 
@@ -163,18 +161,18 @@ class TestPlayGame:
         p = Params(8, 4, 32)
         rule = Rule(COLLISION_THRESHOLD, collision_rule_threshold(p))
         exact = float(rule_advantage_exact(p, rule))
-        res = play_game(p, rule, 10**5, make_rng(31))
+        res = play_game_sharded(p, rule, 10**5, 31)
         assert abs(res.empirical_advantage - exact) < 4 * res.standard_error
 
     def test_accept_rates_order(self):
         # the permutation arm accepts likelihood-greater transcripts more often
         p = Params(8, 4, 32)
-        res = play_game(p, optimal_rule(), 2 * 10**4, make_rng(7))
+        res = play_game_sharded(p, optimal_rule(), 2 * 10**4, 7)
         assert res.accept_rate_permutation > res.accept_rate_function
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            play_game(Params(2, 1, 2), optimal_rule(), 0, make_rng(0))
+            play_game_sharded(Params(2, 1, 2), optimal_rule(), 0, 0)
 
     @pytest.mark.parametrize("accepts", [(0, 300), (300, 0), (0, 0), (300, 300)])
     def test_rate_of_zero_or_one_keeps_a_standard_error(self, accepts):

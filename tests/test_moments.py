@@ -7,12 +7,11 @@ import pytest
 from truncperm.core import Params, make_rng
 from truncperm.exact import EnumerationLimitError, transcript_tallies
 from truncperm.moments import (
+    MomentSet,
     PreconditionError,
     fourth_moment_bound_check,
-    moments_closed_form,
     moments_empirical,
     _profile_moments,
-    moments_profiles,
     pair_collision_moments,
     pair_collision_moments_brute,
     power_standard_errors,
@@ -31,7 +30,6 @@ class TestClosedForm:
             Fraction(0),
             Fraction(1, 16),
         )
-        assert mom.p == Fraction(1, 2)
 
     @pytest.mark.parametrize("buckets", [2, 3, 4])
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
@@ -39,10 +37,6 @@ class TestClosedForm:
         assert pair_collision_moments(q, buckets) == pair_collision_moments_brute(
             q, buckets
         )
-
-    def test_params_wrappers(self):
-        p = Params(3, 1, 4)
-        assert moments_closed_form(p) == pair_collision_moments(4, 4)
 
     def test_profile_sum_equals_transcript_walk(self):
         # both depend on (q, buckets) only: every pair with buckets**q <= 10**4
@@ -52,7 +46,8 @@ class TestClosedForm:
         for q, buckets in cells:
             p = Params(buckets.bit_length() + 3, 4, q)
             assert p.num_replies == buckets
-            assert moments_profiles(p) == pair_collision_moments_brute(q, buckets), p
+            brute = pair_collision_moments_brute(q, buckets)
+            assert MomentSet(*profile_power_means(p, 4)) == brute, p
 
     def test_eight_powers_equal_the_transcript_walk(self):
         cells = [(q, 1 << k) for k in range(1, 14) for q in range(1, 14)
@@ -67,7 +62,7 @@ class TestClosedForm:
         # partitions of 64 into at most 16 parts: 1031391 profiles
         start = time.perf_counter()
         with pytest.raises(EnumerationLimitError) as err:
-            moments_profiles(Params(8, 4, 64))
+            profile_power_means(Params(8, 4, 64), 4)
         assert time.perf_counter() - start < 1.0
         assert str(err.value) == (
             "1031391 profiles exceed ceiling 1000000; use mc_advantage for an estimate"
@@ -85,7 +80,7 @@ class TestClosedForm:
 class TestEmpirical:
     def test_within_4se_of_closed_form(self):
         p = Params(10, 9, 512)  # B = 2, q = 512
-        closed = moments_closed_form(p)
+        closed = pair_collision_moments(p.q, p.num_replies)
         emp = moments_empirical(p, 10**5, make_rng(13))
         for e, c, se in (
             (emp.m1, closed.m1, emp.se1),
@@ -100,7 +95,7 @@ class TestEmpirical:
         emp = moments_empirical(p, 4000, make_rng(3))
         # for a plain mean the jackknife reduces to sd/sqrt(t); check the
         # first moment's SE against the closed-form variance
-        closed = moments_closed_form(p)
+        closed = pair_collision_moments(p.q, p.num_replies)
         classical = math.sqrt(float(closed.m2) / emp.trials)
         assert emp.se1 == pytest.approx(classical, rel=0.1)
 
@@ -115,7 +110,8 @@ class TestEmpirical:
         p = Params(6, 3, 16)
         ses = power_standard_errors(profile_power_means(p, 8), 4000)
         assert len(ses) == 4
-        assert ses[0] == pytest.approx(math.sqrt(moments_closed_form(p).m2 / 4000), rel=1e-12)
+        closed = pair_collision_moments(p.q, p.num_replies)
+        assert ses[0] == pytest.approx(math.sqrt(closed.m2 / 4000), rel=1e-12)
 
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):

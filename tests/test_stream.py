@@ -19,7 +19,6 @@ from truncperm.stream import (
     StreamConfig,
     balance_check,
     generate_stream,
-    security_margin,
     stream_length_bytes,
     stream_metadata,
     throughput_bench,
@@ -59,14 +58,21 @@ class TestExplicitPermutation:
             ExplicitPermutation(21, seed=0)
 
 
+def feistel_inverse(perm, y):
+    """The rounds of a FeistelPermutation undone, last first: a reference
+    inverse, kept here as nothing in the package reads one."""
+    half = perm.n // 2
+    left, right = y >> half, y & ((1 << half) - 1)
+    for r in reversed(range(perm.rounds)):
+        left, right = right ^ perm._round(r, left), left
+    return (left << half) | right
+
+
 class TestFeistelPermutation:
     def test_bijective_and_invertible(self):
         perm = FeistelPermutation(16, b"test key")
-        seen = set()
         for x in range(0, 1 << 16, 257):  # sparse sample plus inverses
-            y = perm(x)
-            assert perm.inverse(y) == x
-            seen.add(y)
+            assert feistel_inverse(perm, perm(x)) == x
         # full bijectivity at a small width
         small = FeistelPermutation(8, b"k")
         assert sorted(small(x) for x in range(256)) == list(range(256))
@@ -381,13 +387,6 @@ class TestBalanceCheck:
 
 
 class TestMarginsAndLengths:
-    def test_advertised_margin(self):
-        assert security_margin(128, 64, 2**64) == Fraction(1, 2**32)
-
-    def test_margin_validity(self):
-        with pytest.raises(ValueError):
-            security_margin(4, 1, 13)
-
     def test_headline_stream_length(self):
         assert stream_length_bytes(128, 64, 2**64) == 2**67
 
