@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -23,7 +22,7 @@ from functools import partial
 from . import __version__
 from .bounds import best_known_upper, bound_report
 from .checks import run_lemma_suite
-from .core import SHARD_COUNT, Params, SamplerLimitError, make_rng
+from .core import Params, SamplerLimitError, default_workers, make_rng
 from .exact import (
     EnumerationLimitError,
     VIA_R_GREATER,
@@ -442,15 +441,6 @@ def _int_at_least(low: int):
         return value
 
     return parse
-
-
-def default_workers() -> int:
-    """The usable cores, capped at the shard count (more threads would idle)."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return min(cores, SHARD_COUNT)
 
 
 # (flags, argparse keywords) of each option group

@@ -14,6 +14,7 @@ underflow nor lose precision.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,6 +186,15 @@ THREAD_ROW_BYTES = 2**27
 _T = TypeVar("_T")
 
 
+def default_workers() -> int:
+    """The usable cores, capped at the shard count (more threads would idle)."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, SHARD_COUNT)
+
+
 def map_shards(
     fn: Callable[[int, np.random.Generator], _T],
     params: Params,
@@ -200,13 +210,15 @@ def map_shards(
 
     A cell whose whole trials x buckets count matrix fits in one piece
     (`count_pieces`) runs its shards serially: a thread pool costs more than
-    it saves there.  Threads are also capped by THREAD_ROW_BYTES."""
+    it saves there.  Threads are also capped by the usable cores
+    (`default_workers`), as each reserves address space, and by
+    THREAD_ROW_BYTES."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     base, extra = divmod(trials, SHARD_COUNT)
     rngs = spawn_rngs(seed, SHARD_COUNT)
     shards = [(base + (i < extra), rngs[i]) for i in range(min(trials, SHARD_COUNT))]
-    threads = min(workers, THREAD_ROW_BYTES // (8 * params.num_replies))
+    threads = min(workers, default_workers(), THREAD_ROW_BYTES // (8 * params.num_replies))
     if trials * params.num_replies <= CHUNK_CELLS or threads <= 1:
         return [fn(t, rng) for t, rng in shards]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -14,7 +14,6 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 from math import comb, perm
 from typing import Iterator
@@ -103,40 +102,43 @@ def _partitions(
     return walk(total, max_part, max_parts, (), 1)
 
 
-def count_partitions(total: int, max_part: int, max_parts: int) -> int:
-    """Number of partitions of `total` into at most `max_parts` parts, each <=
-    max_part, without listing them.
-
-    It is the coefficient of x**total in the Gaussian binomial
-    [M + k choose k]_x = prod_{i=1..k} (1 - x**(M+i)) / (1 - x**i), with
-    M = max_part and k = max_parts.  Both are capped at `total`, and as the
-    binomial is symmetric in them the smaller one sets the number of factors;
-    each factor is applied to a power series truncated at degree `total`.
-    """
-    if total <= 0 or max_part <= 0 or max_parts <= 0:
-        return int(total == 0)
+def _partition_counts(total: int, max_part: int, max_parts: int) -> Iterator[int]:
+    """The coefficient of x**total in the Gaussian binomial
+    [M + k choose k]_x = prod_{i=1..k} (1 - x**(M+i)) / (1 - x**i) after each
+    factor in turn, on a power series truncated at degree `total`.  M and k
+    are the two limits capped at `total`, k the smaller (the binomial is
+    symmetric in them).  After i factors it counts the partitions into at
+    most i parts, each <= M, so it only grows."""
     k, big = sorted((min(max_part, total), min(max_parts, total)))
-    if total > k * big:
-        return 0
+    if k <= 0 or total > k * big:
+        yield int(total == 0)
+        return
     coeffs = [1] + [0] * total
     for i in range(1, k + 1):
         shift = big + i  # times (1 - x**shift)
         coeffs[shift:] = map(operator.sub, coeffs[shift:], coeffs[: total + 1 - shift])
         for j in range(i, total + 1):  # divided by (1 - x**i)
             coeffs[j] += coeffs[j - i]
-    return coeffs[total]
+        yield coeffs[total]
+
+
+def count_partitions(total: int, max_part: int, max_parts: int) -> int:
+    """Number of partitions of `total` into at most `max_parts` parts, each <=
+    max_part, without listing them: the last of `_partition_counts`."""
+    *_, count = _partition_counts(total, max_part, max_parts)
+    return count
 
 
 def _price(total: int, max_part: int, max_parts: int) -> int:
     """The number of profiles a sum visits, `count_partitions(total, max_part,
-    max_parts)`, counted before it visits any; raises EnumerationLimitError
-    above PROFILE_CEILING."""
-    priced = count_partitions(total, max_part, max_parts)
-    if priced > PROFILE_CEILING:
-        raise EnumerationLimitError(
-            f"{priced} profiles exceed ceiling {PROFILE_CEILING}; "
-            "use mc_advantage for an estimate"
-        )
+    max_parts)`, counted before it visits any; over PROFILE_CEILING, raises
+    EnumerationLimitError at the first factor whose count passes it."""
+    for priced in _partition_counts(total, max_part, max_parts):
+        if priced > PROFILE_CEILING:
+            raise EnumerationLimitError(
+                f"at least {priced} profiles exceed ceiling {PROFILE_CEILING}; "
+                "use mc_advantage for an estimate"
+            )
     return priced
 
 
@@ -164,9 +166,9 @@ def advantage_sum(
     those of `enumerate_profiles(params)`, in another order.
 
     The walk is priced before it starts by the closed-form count of the
-    profiles it may reach, and refused (EnumerationLimitError) above
-    PROFILE_CEILING: on the greater side those within capacity (every other
-    profile has ratio 0), on the other sides every profile.
+    profiles it may reach (`_price`), and refused (EnumerationLimitError)
+    above PROFILE_CEILING: on the greater side those within capacity (every
+    other profile has ratio 0), on the other sides every profile.
 
     With b = 2**(n-m), (x)_d the falling factorial and p = count / b**q a
     profile's uniform-oracle weight, R = b**q * P / (2**n)_q, where
@@ -183,17 +185,18 @@ def advantage_sum(
     count = q!/prod d! * perm(b, k)/prod c!, and no part is smaller than the
     queries left over the reply values left.  The rest of a profile after its
     parts of size 2 are placed is single queries (or none), closed in place;
-    `_partitions` has the same shape.  On the
-    greater side, a prefix with product P and r queries left is skipped once
-    P * 2**(m*r) is at most the bound: as (2**m)_d <= 2**(m*d), no completion
-    of it has R > 1.  A part above the capacity 2**m makes P = 0, so that
-    side never enters one.  The other sides cover every profile, and add a
-    subtree in one step once every profile in it is taken: once its prefix
-    has more than `pairs_above` pairs and P * 2**(m*r) is within the bound,
-    as P only falls and pairs only grow below it.  The subtree's
-    (sum count * P, sum count) relative to the prefix comes from a memo on
-    (queries left, largest part, reply values left), by the same part
-    recursion.  As those sides reach every profile, the number they report
+    `_partitions` has the same shape.  On the greater side, a prefix with
+    product P and r queries left is skipped once P * 2**(m*r) is at most the
+    bound: as (2**m)_d <= 2**(m*d), no completion of it has R > 1.  A part
+    above the capacity 2**m makes P = 0, so that side never enters one.  The
+    other sides cover every profile, and add a subtree in one step once every
+    profile in it is taken: once its prefix has more than `pairs_above` pairs
+    and P * 2**(m*r) is within the bound, as P only falls and pairs only grow
+    below it.  The subtree's (sum count * P, sum count) relative to the
+    prefix comes from `closed`, a memo of another shape: a row per (queries
+    left, reply values left), whose entry for largest part t adds the c >= 1
+    parts of size t to the entry below, so it recurses only into fewer reply
+    values.  As those sides reach every profile, the number they report
     walked is their price.
     """
     q = params.q
@@ -216,32 +219,28 @@ def advantage_sum(
         hi = (uniform - 1) // scale
     prune = lo >= 0
     sum_wp = sum_w = walked = 0
+    rows: dict[tuple[int, int], list[tuple[int, int]]] = {}  # of `closed`
 
-    @cache
     def closed(left: int, top: int, room: int) -> tuple[int, int]:
         # (sum w * P, sum w) over every way of placing `left` more queries in
         # parts of size <= top on at most `room` further reply values, with w
-        # and P taken relative to the prefix
-        sp = sw = 0
-        # parts of size d >= 2 with d * room >= left
-        for d in range(min(left, top), (left - 1) // room or 1, -1):
+        # and P taken relative to the prefix; row (left, room) holds it for
+        # top = ceil(left / room), ..., each entry adding parts of size top
+        low = -(-left // room)
+        row = rows.setdefault((left, room), [])
+        for d in range(low + len(row), min(top, left) + 1):
+            sp, sw = row[-1] if row else (0, 0)
             fd = falling[d]
             rest, p, w = left, 1, 1
             for c in range(1, min(left // d, room) + 1):
                 p *= fd
                 w = w * comb(rest, d) * (room - c + 1) // c
                 rest -= d
-                if rest == 0 or d == 2:  # the rest are single queries
-                    if rest <= room - c:
-                        w1 = w * perm(room - c, rest)
-                        sp, sw = sp + (w1 * p << (m * rest)), sw + w1
-                elif rest <= (d - 1) * (room - c):
-                    p1, w1 = closed(rest, d - 1, room - c)
+                if rest <= (d - 1) * (room - c):
+                    p1, w1 = closed(rest, d - 1, room - c) if rest else (1, 1)
                     sp, sw = sp + w * p * p1, sw + w * w1
-        if left <= room:
-            w1 = perm(room, left)
-            sp, sw = sp + (w1 << (m * left)), sw + w1
-        return sp, sw
+            row.append((sp, sw))
+        return row[min(top, left) - low]
 
     def walk(left: int, top: int, room: int, prod: int, weight: int, pairs: int) -> None:
         # place `left` more queries in parts of size <= top, on at most `room`

@@ -269,18 +269,19 @@ class TestCountOptions:
         assert code == 0 and "emp_m2" not in parse_csv(out)[0]
 
     def test_workers_default_to_the_usable_cores(self, monkeypatch):
+        default_workers = truncperm.core.default_workers
         for command in ("mc", "game"):
-            assert build_parser().parse_args([command]).workers == cli.default_workers()
+            assert build_parser().parse_args([command]).workers == default_workers()
         if hasattr(os, "sched_getaffinity"):
-            assert cli.default_workers() == min(len(os.sched_getaffinity(0)), SHARD_COUNT)
+            assert default_workers() == min(len(os.sched_getaffinity(0)), SHARD_COUNT)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)),
                             raising=False)
-        assert cli.default_workers() == SHARD_COUNT
+        assert default_workers() == SHARD_COUNT
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert cli.default_workers() == 3
+        assert default_workers() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli.default_workers() == 1
+        assert default_workers() == 1
 
 
 # Result columns of small seeded cells as printed with one draw per shard and
@@ -344,7 +345,7 @@ class TestSeededRows:
         assert {k: row[k] for k in want} == want
         if not argv.startswith("moments"):
             given = argv.split("--workers ")[1:]
-            assert row["workers"] == (given[0] if given else str(cli.default_workers()))
+            assert row["workers"] == (given[0] if given else str(truncperm.core.default_workers()))
 
     @pytest.mark.parametrize("argv", [
         "mc --n 12 --m 2 --q 64 --trials 3200",
@@ -435,6 +436,12 @@ LONG_ROWS = [
     "game --n 24 --m 0 --q 3 --trials 2 --rule collision",
 ]
 
+# more workers than usable cores; each thread reserves address space
+MANY_WORKERS = [
+    "mc --n 12 --m 6 --q 512 --trials 100000 --workers 16",
+    "game --n 10 --m 0 --q 3 --trials 6400 --workers 32",
+]
+
 
 class TestLongRows:
     @pytest.mark.parametrize("argv", LONG_ROWS)
@@ -442,6 +449,15 @@ class TestLongRows:
         proc = run_capped(argv)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-300:]
         assert len(parse_csv(proc.stdout)) == 1
+
+    @pytest.mark.parametrize("argv", MANY_WORKERS)
+    def test_threads_are_capped_by_the_cores(self, argv):
+        proc = run_capped(argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-300:]
+        serial = run_capped(argv.split(" --workers ")[0] + " --workers 1")
+        assert serial.returncode == 0, serial.stderr[-300:]
+        assert (strip_timing(parse_csv(proc.stdout), ["workers"])
+                == strip_timing(parse_csv(serial.stdout), ["workers"]))
 
     def test_threads_are_capped_by_row_bytes(self, monkeypatch):
         pools = []
@@ -452,10 +468,15 @@ class TestLongRows:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(truncperm.core, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(truncperm.core, "default_workers", lambda: SHARD_COUNT)
         for n in (21, 22, 23, 24, 25):
             truncperm.core.map_shards(lambda t, rng: None, Params(n, 0, 3), 8, 0, workers=8)
         # 2**27 bytes of rows: 8 threads at 2**21 counters, serial from 2**24 on
         assert pools == [8, 4, 2]
+        # and never more threads than cores
+        monkeypatch.setattr(truncperm.core, "default_workers", lambda: 3)
+        truncperm.core.map_shards(lambda t, rng: None, Params(21, 0, 3), 8, 0, workers=8)
+        assert pools[-1] == 3
 
 
 # --seed takes non-negative integers on every subcommand; the Feistel key is
@@ -526,8 +547,8 @@ class TestExactCommand:
         assert cells == [("2", "0"), ("2", "1"), ("3", "0"), ("3", "1"), ("3", "2")]
 
     @pytest.mark.parametrize("n,m,q,less", [
-        (7, 3, 112, 161410965), (7, 3, 120, 321546251), (7, 3, 128, 620457761),
-        (8, 4, 256, 1465972415692),
+        (7, 3, 112, 1090592), (7, 3, 120, 1579883), (7, 3, 128, 2239706),
+        (8, 4, 256, 1673243),
     ])
     def test_answers_from_the_greater_side(self, capsys, n, m, q, less):
         # only the less side is over the ceiling: the greater side answers and
@@ -542,15 +563,18 @@ class TestExactCommand:
         assert row["dual_identity_ok"] == ""
         assert row["below_combined_upper"] == "True"
         assert row["reason"] == (
-            f"dual identity not checked: less side: {less} profiles exceed ceiling "
+            f"dual identity not checked: less side: at least {less} profiles exceed ceiling "
             "1000000; use mc_advantage for an estimate"
         )
 
     def test_both_sides_within_the_ceiling_check_the_dual_identity(self, capsys):
-        code, out = run_cli(capsys, "exact", "--n", "10", "--m", "5", "--q", "32")
-        row = parse_csv(out)[0]
-        assert code == 0
-        assert (row["status"], row["dual_identity_ok"], row["reason"]) == ("ok", "True", "")
+        # (11, 10, 1500) has 2 reply values, so the less side's subtree sums
+        # span hundreds of part sizes
+        for n, m, q in [(10, 5, 32), (11, 10, 1500)]:
+            code, out = run_cli(capsys, "exact", "--n", str(n), "--m", str(m), "--q", str(q))
+            row = parse_csv(out)[0]
+            assert code == 0
+            assert (row["status"], row["dual_identity_ok"], row["reason"]) == ("ok", "True", "")
 
     def test_refusal_row(self, capsys):
         # both sides far over the profile ceiling: row is marked refused, exit
@@ -568,13 +592,13 @@ class TestExactCommand:
     ])
     def test_each_side_is_priced_once(self, capsys, monkeypatch, n, m, q, prices):
         calls = []
-        price = truncperm.exact.count_partitions
+        price = truncperm.exact._partition_counts
 
         def counted(*args):
             calls.append(args)
             return price(*args)
 
-        monkeypatch.setattr(truncperm.exact, "count_partitions", counted)
+        monkeypatch.setattr(truncperm.exact, "_partition_counts", counted)
         run_cli(capsys, "exact", "--n", str(n), "--m", str(m), "--q", str(q))
         assert len(calls) == prices
 
@@ -602,7 +626,7 @@ class TestExactCommand:
         row = parse_csv(out)[0]
         assert row["status"] == "refused"
         assert row["reason"] == (
-            "ceiling: 9422517658 profiles exceed ceiling 1000000; "
+            "ceiling: at least 8790084 profiles exceed ceiling 1000000; "
             "use mc_advantage for an estimate"
         )
         assert code == 0
@@ -710,7 +734,7 @@ class TestGameCommand:
         assert code == 0
         assert (row["exact_advantage"], row["within_4se"]) == ("", "")
         assert row["exact_reason"] == (
-            "ceiling: 1031391 profiles exceed ceiling 1000000; "
+            "ceiling: at least 1031391 profiles exceed ceiling 1000000; "
             "use mc_advantage for an estimate"
         )
         _, out = run_cli(capsys, "game", "--n", "14", "--m", "7", "--q", "128",
@@ -718,7 +742,7 @@ class TestGameCommand:
         row = parse_csv(out)[0]
         assert row["exact_advantage"] == ""
         assert row["exact_reason"] == (
-            "ceiling: 4351078600 profiles exceed ceiling 1000000; "
+            "ceiling: at least 2239706 profiles exceed ceiling 1000000; "
             "use mc_advantage for an estimate"
         )
 

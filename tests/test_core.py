@@ -302,6 +302,7 @@ class TestMapShards:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(core, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(core, "default_workers", lambda: 8)  # 8 usable cores
         return started
 
     def test_one_piece_cell_starts_no_pool(self, pools):

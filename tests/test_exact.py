@@ -1,5 +1,7 @@
-import functools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from collections import Counter
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import truncperm
 from truncperm.core import (
     Params,
     all_distinct_prob,
@@ -99,22 +102,20 @@ def advantage_sum_unpruned(params, accept):
 
 
 @pytest.fixture
-def closed_subtrees(monkeypatch):
-    """The calls `advantage_sum` makes to its memoised sum over a subtree in
-    which every profile is taken."""
+def closed_subtrees():
+    """The (left, top, room) of each call `advantage_sum` makes to `closed`,
+    its memoised sum over a subtree in which every profile is taken."""
     calls = []
 
-    def counted(fn):
-        memo = functools.cache(fn)
+    def hook(frame, event, arg):
+        if (event, frame.f_code.co_name, frame.f_globals.get("__name__")) == (
+                "call", "closed", "truncperm.exact"):
+            calls.append(tuple(frame.f_locals[k] for k in ("left", "top", "room")))
 
-        def call(*args):
-            calls.append(args)
-            return memo(*args)
-
-        return call
-
-    monkeypatch.setattr("truncperm.exact.cache", counted)
-    return calls
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    yield calls
+    sys.setprofile(previous)
 
 
 class TestPartitions:
@@ -178,8 +179,44 @@ class TestEnumerateProfiles:
 
     def test_refused_when_called(self):
         # partitions of 64 into at most 16 parts: priced before any is listed
-        with pytest.raises(EnumerationLimitError, match="^1031391 profiles exceed"):
+        with pytest.raises(EnumerationLimitError) as err:
             enumerate_profiles(Params(8, 4, 64))
+        assert str(err.value) == (
+            "at least 1031391 profiles exceed ceiling 1000000; use mc_advantage for an estimate"
+        )
+
+    @pytest.mark.parametrize("call", [
+        "exact_advantage(p)",
+        "rule_advantage_exact(p, optimal_rule())",
+        "profile_power_means(p, 4)",
+    ])
+    def test_refused_in_milliseconds_at_any_q(self, call):
+        # the price stops at its first count over the ceiling, here the
+        # partitions of 2**16 into at most 3 parts; the full count runs for
+        # minutes, so a child with a deadline times the refusal alone
+        script = (
+            "import time\n"
+            "from truncperm.core import Params\n"
+            "from truncperm.exact import EnumerationLimitError, exact_advantage\n"
+            "from truncperm.game import optimal_rule, rule_advantage_exact\n"
+            "from truncperm.moments import profile_power_means\n"
+            "p = Params(40, 20, 65536)\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            f"    {call}\n"
+            "except EnumerationLimitError as exc:\n"
+            "    print(time.perf_counter() - start, exc, sep='\\n')\n"
+        )
+        src = os.path.dirname(os.path.dirname(truncperm.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=30)
+        seconds, reason = proc.stdout.splitlines()
+        assert float(seconds) < 1.0
+        assert count_partitions(65536, 65536, 3) == 357946710
+        assert reason == (
+            "at least 357946710 profiles exceed ceiling 1000000; use mc_advantage for an estimate"
+        )
 
     def test_carried_counts_match_the_formula(self):
         # 257 profiles (512 - k, k) on 2 reply values
@@ -414,8 +451,7 @@ class TestIntegerBounds:
 
     def test_rejects_unknown_side(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("truncperm.exact.count_partitions",
-                            lambda *args: calls.append(args))
+        monkeypatch.setattr("truncperm.exact._price", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="unknown side"):
             advantage_sum(Params(2, 1, 2), "via_typo")
         assert calls == []
@@ -425,12 +461,19 @@ class TestIntegerBounds:
     ])
     def test_each_walk_prices_itself(self, side, priced):
         # (7, 3, 112): parts of at most 2**3 on the greater side, of any size
-        # on the others; only the greater side is within the ceiling
+        # on the others; only the greater side is within the ceiling.  The
+        # others are refused at the first count over it, the 1090592
+        # partitions into at most 7 parts
         p = Params(7, 3, 112)
         assert count_partitions(112, 8 if side == VIA_R_GREATER else 112, 16) == priced
         if priced > PROFILE_CEILING:
-            with pytest.raises(EnumerationLimitError, match=f"^{priced} profiles exceed"):
+            assert count_partitions(112, 112, 6) <= PROFILE_CEILING
+            assert count_partitions(112, 112, 7) == 1090592
+            with pytest.raises(EnumerationLimitError) as err:
                 advantage_sum(p, side)
+            assert str(err.value) == (
+                "at least 1090592 profiles exceed ceiling 1000000; use mc_advantage for an estimate"
+            )
         else:
             assert advantage_sum(p, side)[1:] == (186, 160)
 

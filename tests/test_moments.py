@@ -65,7 +65,7 @@ class TestClosedForm:
             profile_power_means(Params(8, 4, 64), 4)
         assert time.perf_counter() - start < 1.0
         assert str(err.value) == (
-            "1031391 profiles exceed ceiling 1000000; use mc_advantage for an estimate"
+            "at least 1031391 profiles exceed ceiling 1000000; use mc_advantage for an estimate"
         )
 
     def test_rejects_bad_args(self):
