@@ -157,11 +157,11 @@ def enumerate_profiles(params: Params) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 def advantage_sum(
-    params: Params, side: str | None, pairs_above: int = -1
+    params: Params, side: str | None, max_pairs: float = math.inf
 ) -> tuple[Fraction, int, int]:
     """Sum of probability * (R - 1) over the count profiles on `side` of
-    R = 1 (VIA_R_GREATER: R > 1, VIA_R_LESS: R < 1, None: either) with more
-    than `pairs_above` colliding reply pairs sum_d C(d, 2), the number of
+    R = 1 (VIA_R_GREATER: R > 1, VIA_R_LESS: R < 1, None: either) with at
+    most `max_pairs` colliding reply pairs sum_d C(d, 2), the number of
     profiles it was priced at and the number the walk reached.  Profiles are
     those of `enumerate_profiles(params)`, in another order.
 
@@ -188,16 +188,16 @@ def advantage_sum(
     `_partitions` has the same shape.  On the greater side, a prefix with
     product P and r queries left is skipped once P * 2**(m*r) is at most the
     bound: as (2**m)_d <= 2**(m*d), no completion of it has R > 1.  A part
-    above the capacity 2**m makes P = 0, so that side never enters one.  The
-    other sides cover every profile, and add a subtree in one step once every
-    profile in it is taken: once its prefix has more than `pairs_above` pairs
-    and P * 2**(m*r) is within the bound, as P only falls and pairs only grow
-    below it.  The subtree's (sum count * P, sum count) relative to the
-    prefix comes from `closed`, a memo of another shape: a row per (queries
-    left, reply values left), whose entry for largest part t adds the c >= 1
-    parts of size t to the entry below, so it recurses only into fewer reply
-    values.  As those sides reach every profile, the number they report
-    walked is their price.
+    above the capacity 2**m makes P = 0, so that side never enters one.  On
+    every side a prefix is skipped once its pairs pass `max_pairs`, as pairs
+    only grow below it.  The less side with no pair bound adds a subtree in
+    one step once P * 2**(m*r) is within the bound, as P only falls below it,
+    so every profile in it is taken.  The subtree's (sum count * P, sum
+    count) relative to the prefix comes from `closed`, a memo of another
+    shape: a row per (queries left, reply values left), whose entry for
+    largest part t adds the c >= 1 parts of size t to the entry below, so it
+    recurses only into fewer reply values.  As that walk reaches every
+    profile, the number it reports walked is its price.
     """
     q = params.q
     b = params.num_replies
@@ -217,7 +217,7 @@ def advantage_sum(
         lo = uniform // scale
     elif side == VIA_R_LESS:
         hi = (uniform - 1) // scale
-    prune = lo >= 0
+    closing = side == VIA_R_LESS and max_pairs >= comb(q, 2)
     sum_wp = sum_w = walked = 0
     rows: dict[tuple[int, int], list[tuple[int, int]]] = {}  # of `closed`
 
@@ -246,8 +246,8 @@ def advantage_sum(
         # place `left` more queries in parts of size <= top, on at most `room`
         # further reply values
         nonlocal sum_wp, sum_w, walked
-        if not prune and pairs > pairs_above and prod << (m * left) <= hi:
-            # every profile below is taken: P only falls and pairs only grow
+        if closing and prod << (m * left) <= hi:
+            # every profile below is taken, as P only falls
             sp, sw = closed(left, top, room)
             sum_wp += weight * prod * sp
             sum_w += weight * sw
@@ -258,16 +258,16 @@ def advantage_sum(
             rest, p, w, x = left, prod, weight, pairs
             for c in range(1, min(left // d, room) + 1):
                 p *= fd
-                if prune and p << (m * (rest - d)) <= lo:
-                    break  # more parts of size d only lower the bound
+                x += pd
+                if x > max_pairs or lo >= 0 and p << (m * (rest - d)) <= lo:
+                    break  # more parts of size d only add pairs and lower the bound
                 w = w * comb(rest, d) * (room - c + 1) // c
                 rest -= d
-                x += pd
                 if rest == 0 or d == 2:  # the rest are single queries; p1 > lo by the check above
                     if rest <= room - c:
                         walked += 1
                         p1 = p << (m * rest)
-                        if p1 <= hi and x > pairs_above:
+                        if p1 <= hi:
                             w1 = w * perm(room - c, rest)
                             sum_wp += w1 * p1
                             sum_w += w1
@@ -278,15 +278,15 @@ def advantage_sum(
             prod <<= m * left
             if prod > lo:
                 walked += 1
-                if prod <= hi and pairs > pairs_above:
+                if prod <= hi:
                     weight *= perm(room, left)
                     sum_wp += weight * prod
                     sum_w += weight
 
-    walk(q, q, b, 1, 1, 0)
-    # an unpruned walk reaches every profile it was priced at
+    if max_pairs >= 0:  # every profile has pairs >= 0
+        walk(q, q, b, 1, 1, 0)
     value = Fraction(scale * sum_wp - uniform * sum_w, scale * uniform)
-    return value, priced, walked if prune else priced
+    return value, priced, priced if closing else walked
 
 
 def exact_advantage(params: Params, identity: str = VIA_R_GREATER) -> AdvantageResult:

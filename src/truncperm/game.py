@@ -77,22 +77,21 @@ def rule_advantage_exact(params: Params, rule: Rule) -> Fraction:
     |sum over accepted profiles of (R - 1) * probability|.  Refused, like
     `exact_advantage`, when the sum it walks is priced over PROFILE_CEILING
     (`advantage_sum` prices itself).  Both likelihood rules are the pruned
-    greater-side sum (the two sides are equal by the dual identity); the
+    greater-side sum (the two sides are equal by the dual identity).  The
     collision rule accepts a profile by its number of colliding reply pairs
-    sum_d C(d, 2) and covers every profile, adding each subtree whose prefix
-    already has more pairs than the threshold in one step."""
+    sum_d C(d, 2); as (R - 1) * probability sums to 0 over all profiles, it
+    is the sum over the rejected ones, and the walk reaches only those."""
     if rule.kind in (LIKELIHOOD_GREATER, LIKELIHOOD_LESS):
         return exact_advantage(params, VIA_R_GREATER).value
     # pairs - C(q,2)/b > t  <=>  pairs > floor(C(q,2)/b + t) for integer pairs,
-    # with t taken exactly; Fraction(+-inf) raises, and -inf takes every
-    # profile (pairs >= 0), +inf none (pairs <= C(q,2))
+    # with t exact; Fraction(+-inf) raises: -inf rejects no profile, +inf all
     top = math.comb(params.q, 2)
     t = rule.threshold
     if math.isinf(t):
-        pairs_above = -1 if t < 0 else top
+        max_pairs = -1 if t < 0 else top
     else:
-        pairs_above = math.floor(Fraction(top, params.num_replies) + Fraction(t))
-    return abs(advantage_sum(params, None, pairs_above)[0])
+        max_pairs = math.floor(Fraction(top, params.num_replies) + Fraction(t))
+    return abs(advantage_sum(params, None, max_pairs)[0])
 
 
 @dataclass(frozen=True)

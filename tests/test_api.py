@@ -21,7 +21,7 @@ EXPORTS = {
 
 PARAMETERS = {
     exact.exact_advantage: ["params", "identity"],
-    exact.advantage_sum: ["params", "side", "pairs_above"],
+    exact.advantage_sum: ["params", "side", "max_pairs"],
     exact.enumerate_profiles: ["params"],
     exact.brute_force_advantage: ["params"],
     game.rule_advantage_exact: ["params", "rule"],

@@ -104,7 +104,8 @@ def advantage_sum_unpruned(params, accept):
 @pytest.fixture
 def closed_subtrees():
     """The (left, top, room) of each call `advantage_sum` makes to `closed`,
-    its memoised sum over a subtree in which every profile is taken."""
+    the less side's memoised sum over a subtree in which every profile is
+    taken."""
     calls = []
 
     def hook(frame, event, arg):
@@ -341,10 +342,9 @@ class TestPrunedKernel:
         assert less.value == greater.value
         assert less.profiles_walked == count_partitions(q, q, p.num_replies)
 
-    def test_unpruned_sums_walk_every_profile_they_are_priced_at(self):
-        # the less side, and the collision rule at three pair bounds, on the
-        # 927 cells with n <= 7 priced at most 10**4 profiles; (12, 6, 48)
-        # above checks a larger one
+    def test_unpruned_sums_walk_every_profile_they_are_priced_at(self, small_cell_ratios):
+        # the less side on the 927 cells with n <= 7 priced at most 10**4
+        # profiles; (12, 6, 48) above checks a larger one
         cells = [Params(n, m, q) for n in range(1, 8) for m in range(n)
                  for q in range(1, (1 << n) + 1)]
         checked = 0
@@ -353,11 +353,20 @@ class TestPrunedKernel:
             if priced > 10**4:
                 continue
             checked += 1
-            mean = comb(p.q, 2) // p.num_replies
-            for side, above in [(VIA_R_LESS, -1), (None, mean - 1), (None, mean),
-                                (None, mean + 2)]:
-                assert advantage_sum(p, side, above)[1:] == (priced, priced), (p, above)
+            assert advantage_sum(p, VIA_R_LESS)[1:] == (priced, priced), p
         assert checked == 927
+        # the collision rule at five pair bounds walks only the profiles with
+        # at most that many pairs, and is priced at all of them; no profile
+        # has fewer than 0 pairs or more than C(q, 2), and the sum over none
+        # or all of them is 0
+        for p, profiles in small_cell_ratios:
+            pairs = [sum(comb(d, 2) for d in parts) for parts, *_ in profiles]
+            mean = comb(p.q, 2) // p.num_replies
+            for most in (-1, mean - 1, mean, mean + 2, comb(p.q, 2)):
+                value, priced, walked = advantage_sum(p, None, most)
+                assert (priced, walked) == (
+                    len(profiles), sum(1 for x in pairs if x <= most)), (p, most)
+                assert value == 0 or 0 <= most < comb(p.q, 2), (p, most)
 
     @pytest.mark.parametrize("q", [1100, 4096])
     def test_birthday_case_for_large_q(self, q):
@@ -397,7 +406,7 @@ class TestIntegerBounds:
 
     @given(small_cells(), st.integers(-2, 70))
     @settings(max_examples=200, deadline=None)
-    def test_sides_and_pair_bounds(self, p, pairs_above):
+    def test_sides_and_pair_bounds(self, p, max_pairs):
         def pairs(profile):
             return sum(comb(d, 2) for d in profile.parts)
 
@@ -406,9 +415,9 @@ class TestIntegerBounds:
         for side, on_side in sides.items():
             assert advantage_sum(p, side)[0] == self.reference(
                 p, lambda prof, r: on_side(r)), (p, side)
-            assert advantage_sum(p, side, pairs_above)[0] == self.reference(
-                p, lambda prof, r: on_side(r) and pairs(prof) > pairs_above
-            ), (p, side, pairs_above)
+            assert advantage_sum(p, side, max_pairs)[0] == self.reference(
+                p, lambda prof, r: on_side(r) and pairs(prof) <= max_pairs
+            ), (p, side, max_pairs)
 
     @staticmethod
     def ties(p):
@@ -442,10 +451,12 @@ class TestIntegerBounds:
             assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, t)) == abs(above), t
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
-    def test_collision_walk_closes_taken_subtrees(self, closed_subtrees, t):
+    def test_collision_walk_sums_the_rejected_side(self, closed_subtrees, t):
+        # the accepted sum is minus the rejected one, which the walk reaches
+        # profile by profile, without a one-step subtree sum
         p = Params(8, 4, 24)
         got = rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, t))
-        assert closed_subtrees
+        assert closed_subtrees == []
         assert got == abs(self.reference(
             p, lambda prof, r: collision_excess_of_profile(prof, p) > t))
 

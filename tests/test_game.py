@@ -98,11 +98,12 @@ class TestRuleAdvantageExact:
     def test_reject_everything_rule(self):
         p = Params(4, 2, 8)
         assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, math.inf)) == 0
-        # so does taking every profile.  On 2 reply values the one subtree sum
-        # of (11, 10, 1500) spans part sizes 750 to 1500, which must not take
-        # a stack frame each
+        # so does taking every profile, which rejects none.  On 2 reply values
+        # (11, 10, 1500) has profiles of part sizes 750 to 1500, which must
+        # not take a stack frame each
         p = Params(11, 10, 1500)
         assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, -math.inf)) == 0
+        assert rule_advantage_exact(p, Rule(COLLISION_THRESHOLD, math.inf)) == 0
 
     def test_ceiling(self):
         # the full count is over the ceiling, though the greater side's is not:
