@@ -68,9 +68,13 @@ def hall_lower_reference(n: int, m: int, q: int) -> FlaggedBound:
 def hall_upper(n: int, m: int, q: int) -> float:
     """The 1998 upper bound 5 x**(2/3) + x**3 / (2 * 2**((n-7m)/2)) with
     x = q / 2**((n+m)/2).  Deteriorates (exceeds 1) well inside the valid
-    query range once m is large."""
+    query range once m is large; math.inf once 2**((n-7m)/2) underflows to
+    0.0 as a float."""
     x = q / float(_pow2_half(n + m))
-    return 5.0 * x ** (2.0 / 3.0) + 0.5 * x**3 / 2.0 ** ((n - 7 * m) / 2)
+    scale = 2.0 ** ((n - 7 * m) / 2)
+    if scale == 0.0:
+        return math.inf
+    return 5.0 * x ** (2.0 / 3.0) + 0.5 * x**3 / scale
 
 
 def bellare_impagliazzo_upper(n: int, m: int, q: int) -> FlaggedBound:

@@ -3,7 +3,9 @@
 Each check evaluates one analytic inequality on a dense parameter grid and
 reports the worst slack observed.  These are the machine-checkable stand-ins
 for the pencil-and-paper proofs: a failing check means a transcription error
-somewhere, not a new theorem.
+somewhere, not a new theorem.  Every check passes on one rule, a worst slack
+of at least -1e-9 (`_result`), and the helpers that only the checks read live
+here with them.
 """
 
 from __future__ import annotations
@@ -17,17 +19,14 @@ import numpy as np
 from .core import (
     CountProfile,
     Params,
+    all_distinct_prob,
     collision_excess_of_profile,
     likelihood_ratio,
     log_all_distinct_table,
 )
-from .exact import _partitions, enumerate_profiles, profile_score
-from .moments import (
-    fourth_moment_bound_check,
-    pair_collision_moments,
-    tail_probability_check,
-    tail_witness_poly,
-)
+from .exact import _partitions, enumerate_profiles
+from .game import collision_rule_threshold
+from .moments import _sample_excess, pair_collision_moments
 
 # tolerance for float comparisons of quantities that can meet with equality
 # (e.g. both sides 0 at k = 1)
@@ -36,6 +35,15 @@ _EPS = 1e-9
 # the grid of the three distinct-probability checks: k = 1 .. K_MAX per alpha
 ALPHAS = tuple(2**j for j in range(1, 21)) + (3, 5, 7, 100, 1000, 999983)
 K_MAX = 1024
+
+# the cells of the fourth-moment bound and of the Monte Carlo tail bound, all
+# in the large-q regime q > 2**((n-m)/2 + 8) that both lemmas assume
+FOURTH_MOMENT_CELLS = (Params(10, 9, 1024), Params(13, 11, 2048))
+TAIL_CELL = Params(10, 9, 512)
+
+
+class PreconditionError(ValueError):
+    """Raised when a check is asked for outside its stated parameter range."""
 
 
 @dataclass(frozen=True)
@@ -147,6 +155,18 @@ def check_doubling() -> CheckResult:
     return _alpha_grid("score_doubling", 2, slack)
 
 
+def profile_score(profile: CountProfile, params: Params) -> float:
+    """Sum over occupied buckets of ln(all-distinct prob of the count) plus
+    pairs/capacity; the exchange quantity maximized by balanced profiles."""
+    cap = params.bucket_capacity
+    if not profile.fits_capacity(params):
+        raise ValueError("profile has a count above the bucket capacity 2**m")
+    terms = []
+    for d in profile.parts:
+        terms.append(float(all_distinct_prob(d, cap, mode="log")) + math.comb(d, 2) / cap)
+    return math.fsum(terms)
+
+
 def _balanced_partition(q: int, buckets: int) -> tuple[int, ...]:
     lo, extra = divmod(q, buckets)
     parts = [lo + 1] * extra + [lo] * (buckets - extra)
@@ -223,6 +243,18 @@ def check_likelihood_exponential_bound(half_domain_only: bool = False) -> CheckR
     return _result(name, slacks, cases, violations)
 
 
+def tail_witness_poly(x):
+    """The quartic -(x + 5/2)**2 (x - 1/10)(x - 5), evaluated in expanded
+    form; positive only strictly inside (1/10, 5), bounded above by 200."""
+    return (
+        -(x**4)
+        + Fraction(1, 10) * x**3
+        + Fraction(75, 4) * x**2
+        + Fraction(235, 8) * x
+        - Fraction(25, 8)
+    )
+
+
 def check_witness_poly() -> CheckResult:
     """The witness quartic stays below 200 on a dense grid and at its interior
     critical point, and vanishes at its printed roots."""
@@ -258,19 +290,26 @@ def check_witness_poly_expectation() -> CheckResult:
 
 
 def check_fourth_moment() -> CheckResult:
-    """Closed-form fourth-moment bound in the large-q regime, at (10, 9, 1024)
-    and (13, 11, 2048)."""
-    cells = ((10, 9, 1024), (13, 11, 2048))
-    slacks = [float(fourth_moment_bound_check(Params(*c)).margin) for c in cells]
+    """The closed-form fourth moment stays below q**2 (q-1)**2 / 2**(2(n-m))
+    on FOURTH_MOMENT_CELLS."""
+    slacks = []
+    for p in FOURTH_MOMENT_CELLS:
+        q, b = p.q, p.num_replies
+        bound = Fraction(q * q * (q - 1) ** 2, b * b)
+        slacks.append(float(bound - pair_collision_moments(q, b).m4))
     return _result("fourth_moment_bound", slacks, len(slacks))
 
 
 def check_tail_probability(rng, trials: int = 10**5) -> CheckResult:
-    """Monte Carlo tail bound at (10, 9, 512): Pr(excess > cutoff) > 1/400
-    with 4-SE margin."""
-    res = tail_probability_check(Params(10, 9, 512), trials, rng)
-    slack = res.estimate - 4.0 * res.std_err - 1.0 / 400.0
-    return _result("collision_tail_probability", [slack], 1)
+    """Monte Carlo tail bound at TAIL_CELL: the collision excess exceeds the
+    collision rule's cutoff (`collision_rule_threshold`) with probability
+    > 1/400, by a 4-standard-error margin."""
+    if trials < 10**5:
+        raise PreconditionError("trials must be >= 1e5 to resolve 1/400")
+    x = _sample_excess(TAIL_CELL, trials, rng)
+    hits = float(np.mean(x > collision_rule_threshold(TAIL_CELL)))
+    se = math.sqrt(max(hits * (1.0 - hits), 1e-12) / trials)
+    return _result("collision_tail_probability", [hits - 4.0 * se - 1.0 / 400.0], 1)
 
 
 def run_lemma_suite(rng, trials: int = 10**5) -> list[CheckResult]:

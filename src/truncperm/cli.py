@@ -21,7 +21,7 @@ from functools import partial
 
 from . import __version__
 from .bounds import best_known_upper, bound_report
-from .checks import run_lemma_suite
+from .checks import PreconditionError, run_lemma_suite
 from .core import Params, SamplerLimitError, default_workers, make_rng
 from .exact import (
     EnumerationLimitError,
@@ -39,7 +39,6 @@ from .game import (
     rule_advantage_exact,
 )
 from .moments import (
-    PreconditionError,
     moments_empirical,
     pair_collision_moments,
     power_standard_errors,

@@ -26,7 +26,6 @@ from .core import (
     Params,
     SamplerLimitError,
     _log_ratio_terms,
-    all_distinct_prob,
     count_pieces,
     likelihood_ratio,
     log_likelihood_ratios,
@@ -337,18 +336,6 @@ def brute_force_advantage(params: Params) -> AdvantageResult:
         if ratio > 1:
             total += Fraction(count, total_transcripts) * (ratio - 1)
     return AdvantageResult(total, VIA_R_GREATER, len(tallies), len(tallies))
-
-
-def profile_score(profile: CountProfile, params: Params) -> float:
-    """Sum over occupied buckets of ln(all-distinct prob of the count) plus
-    pairs/capacity; the exchange quantity maximized by balanced profiles."""
-    cap = params.bucket_capacity
-    if not profile.fits_capacity(params):
-        raise ValueError("profile has a count above the bucket capacity 2**m")
-    terms = []
-    for d in profile.parts:
-        terms.append(float(all_distinct_prob(d, cap, mode="log")) + comb(d, 2) / cap)
-    return math.fsum(terms)
 
 
 def mc_advantage(

@@ -1,5 +1,5 @@
-"""Moments of the collision-excess statistic and the tail machinery built on
-them.
+"""Moments of the collision-excess statistic: closed form, exact profile sums
+and sampled moments.
 
 The statistic is the number of colliding reply pairs minus its uniform-oracle
 mean; its first four moments have closed forms in the single-pair collision
@@ -27,11 +27,6 @@ from .core import (
     sample_function_count_matrix,
 )
 from .exact import enumerate_profiles, transcript_tallies
-from .game import collision_rule_threshold
-
-
-class PreconditionError(ValueError):
-    """Raised when a check is asked for outside its stated parameter range."""
 
 
 @dataclass(frozen=True)
@@ -145,74 +140,3 @@ def moments_empirical(
     ses = [float(p.std(ddof=1) / math.sqrt(trials)) for p in powers]
     return EmpiricalMoments(*means, *ses, trials=trials)
 
-
-# ---------------------------------------------------------------------------
-# Fourth-moment bound, witness polynomial, tail probability
-
-
-def _require_tail_regime(params: Params) -> None:
-    """Raise PreconditionError unless q > 2**((n-m)/2 + 8), that is
-    q > sqrt(buckets) * 2**8, compared exactly via squares."""
-    b = params.num_replies
-    q = params.q
-    if q * q <= b * (1 << 16):
-        raise PreconditionError(
-            f"not applicable: requires q > 2**((n-m)/2 + 8), got q={q} with "
-            f"2**(n-m)={b}"
-        )
-
-
-@dataclass(frozen=True)
-class FourthMomentCheck:
-    holds: bool
-    bound: Fraction
-    fourth_moment: Fraction
-    margin: Fraction
-
-
-def fourth_moment_bound_check(params: Params) -> FourthMomentCheck:
-    """Closed-form check that the fourth moment stays below
-    q**2 (q-1)**2 / 2**(2(n-m)), in the regime q > 2**((n-m)/2 + 8)."""
-    _require_tail_regime(params)
-    b = params.num_replies
-    q = params.q
-    bound = Fraction(q * q * (q - 1) ** 2, b * b)
-    m4 = pair_collision_moments(q, b).m4
-    return FourthMomentCheck(m4 < bound, bound, m4, bound - m4)
-
-
-def tail_witness_poly(x):
-    """The quartic -(x + 5/2)**2 (x - 1/10)(x - 5), evaluated in expanded
-    form; positive only strictly inside (1/10, 5), bounded above by 200."""
-    return (
-        -(x**4)
-        + Fraction(1, 10) * x**3
-        + Fraction(75, 4) * x**2
-        + Fraction(235, 8) * x
-        - Fraction(25, 8)
-    )
-
-
-@dataclass(frozen=True)
-class TailCheck:
-    estimate: float
-    std_err: float
-    threshold: float
-    trials: int
-    passes: bool  # estimate exceeds 1/400 by more than 4 standard errors
-
-
-def tail_probability_check(
-    params: Params, trials: int, rng: np.random.Generator
-) -> TailCheck:
-    """Monte Carlo confirmation that the collision excess exceeds the
-    collision rule's cutoff (`collision_rule_threshold`) with probability
-    > 1/400 (4-standard-error margin)."""
-    _require_tail_regime(params)
-    if trials < 10**5:
-        raise PreconditionError("trials must be >= 1e5 to resolve 1/400")
-    threshold = collision_rule_threshold(params)
-    x = _sample_excess(params, trials, rng)
-    hits = float(np.mean(x > threshold))
-    se = math.sqrt(max(hits * (1.0 - hits), 1e-12) / trials)
-    return TailCheck(hits, se, threshold, trials, passes=hits - 4.0 * se > 1.0 / 400.0)

@@ -71,6 +71,11 @@ class TestHall:
         # the x**3 term carries 2**((7m-n)/2): useless when m is close to n
         assert hall_upper(16, 14, 2**10) > 1e6
 
+    def test_upper_is_infinite_once_its_scale_underflows(self):
+        # 2**((n-7m)/2) is 0.0 as a float at (400, 390): no division by zero
+        assert bound_report(400, 390, 3).hall_upper == math.inf
+        assert hall_upper(600, 590, 3) == math.inf
+
 
 class TestBellareImpagliazzo:
     def test_value_and_validity(self):

@@ -1,6 +1,12 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from truncperm.checks import (
+    FOURTH_MOMENT_CELLS,
+    TAIL_CELL,
+    PreconditionError,
     check_distinct_prob_lower,
     check_distinct_prob_upper,
     check_doubling,
@@ -11,9 +17,11 @@ from truncperm.checks import (
     check_tail_probability,
     check_witness_poly,
     check_witness_poly_expectation,
+    profile_score,
     run_lemma_suite,
+    tail_witness_poly,
 )
-from truncperm.core import make_rng
+from truncperm.core import CountProfile, Params, make_rng
 
 
 class TestIndividualChecks:
@@ -42,25 +50,88 @@ class TestIndividualChecks:
         assert res.passed and res.worst_slack > 0
 
     def test_fourth_moment(self):
-        assert check_fourth_moment().passed
+        res = check_fourth_moment()
+        assert res.passed and res.worst_slack > 0
 
-    def test_tail_probability(self):
-        assert check_tail_probability(make_rng(41)).passed
+    @pytest.mark.parametrize("seed", [41, 19])
+    def test_tail_probability(self, seed):
+        assert check_tail_probability(make_rng(seed)).passed
 
 
-# (name, cases, worst slack) of the three checks that share the loop over
-# ALPHAS, as each gave with its own loop: the lemma rows must not move
-GRID_ROWS = {
+def in_tail_regime(p):
+    """q > 2**((n-m)/2 + 8), compared exactly via squares."""
+    return p.q * p.q > p.num_replies << 16
+
+
+def test_fixed_cells_are_in_the_large_q_regime():
+    for p in (*FOURTH_MOMENT_CELLS, TAIL_CELL):
+        assert in_tail_regime(p), p
+    assert not in_tail_regime(Params(10, 9, 362))  # q**2 just below B*2**16
+
+
+def test_tail_probability_needs_enough_trials():
+    with pytest.raises(PreconditionError, match=r"^trials must be >= 1e5 to resolve 1/400$"):
+        check_tail_probability(make_rng(0), 10**4)
+
+
+class TestWitnessPoly:
+    def test_roots(self):
+        for root in (Fraction(1, 10), Fraction(5), Fraction(-5, 2)):
+            assert tail_witness_poly(root) == 0
+
+    def test_factored_form_agrees(self):
+        for x in [Fraction(k, 7) for k in range(-30, 40)]:
+            factored = -((x + Fraction(5, 2)) ** 2) * (x - Fraction(1, 10)) * (x - 5)
+            assert tail_witness_poly(x) == factored
+
+    def test_sign_pattern(self):
+        assert tail_witness_poly(Fraction(1, 2)) > 0
+        assert tail_witness_poly(Fraction(0)) < 0
+        assert tail_witness_poly(Fraction(6)) < 0
+
+    def test_maximum_below_200(self):
+        crit = (103 + math.sqrt(29409)) / 80
+        assert float(tail_witness_poly(crit)) < 200
+        xs = [(-10 + k * 1e-2) for k in range(2001)]
+        assert max(float(tail_witness_poly(x)) for x in xs) < 200
+
+    def test_accepts_floats(self):
+        assert tail_witness_poly(0.1) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestProfileScore:
+    def test_values(self):
+        p = Params(2, 1, 2)
+        # one bucket with both replies: ln(1/2) + 1/2
+        assert profile_score(CountProfile((2,)), p) == pytest.approx(
+            math.log(0.5) + 0.5
+        )
+        assert profile_score(CountProfile((1, 1)), p) == 0.0
+
+    def test_rejects_overfull(self):
+        with pytest.raises(ValueError):
+            profile_score(CountProfile((3,)), Params(2, 1, 3))
+
+
+# (name, cases, worst slack) of lemma rows that must not move: the three
+# checks that share the loop over ALPHAS, as each gave with its own loop, and
+# the checks that hold their own helpers and cells; the tail row is the one
+# `make_rng(0)` gives
+LEMMA_ROWS = {
     check_distinct_prob_upper: ("distinct_prob_upper", 14425, 0.0),
     check_distinct_prob_lower: ("distinct_prob_lower", 12843, 3.0316490059097606e-13),
     check_doubling: ("score_doubling", 12843, 3.410604770600687e-13),
+    check_fourth_moment: ("fourth_moment_bound", 2, 17163439960.0),
+    check_witness_poly: ("witness_poly", 20004, 0.0),
+    check_profile_score_maximizer: ("profile_score_maximizer", 71, 0.0),
+    check_tail_probability: ("collision_tail_probability", 1, 0.2608610765510661),
 }
 
 
-@pytest.mark.parametrize("check", list(GRID_ROWS), ids=lambda f: f.__name__)
-def test_alpha_grid_rows_are_pinned(check):
-    res = check()
-    assert (res.name, res.cases, res.worst_slack) == GRID_ROWS[check]
+@pytest.mark.parametrize("check", list(LEMMA_ROWS), ids=lambda f: f.__name__)
+def test_lemma_rows_are_pinned(check):
+    res = check(make_rng(0)) if check is check_tail_probability else check()
+    assert (res.name, res.cases, res.worst_slack) == LEMMA_ROWS[check]
     assert res.passed and res.violations == ()
 
 

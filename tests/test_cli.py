@@ -647,6 +647,11 @@ class TestBoundsCommand:
         data = json.loads(out)
         assert data[0]["n"] == 8 and "theta_envelope" in data[0]
 
+    def test_underflowing_hall_scale_reads_inf(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--n", "400", "--m", "390", "--q", "3")
+        assert code == 0
+        assert parse_csv(out)[0]["hall_upper"] == "inf"
+
 
 class TestMcCommand:
     def test_deterministic_across_workers(self, capsys):

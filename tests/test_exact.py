@@ -33,7 +33,6 @@ from truncperm.exact import (
     exact_advantage,
     mc_advantage,
     mc_advantage_sharded,
-    profile_score,
     transcript_tallies,
 )
 from truncperm.core import CountProfile
@@ -506,20 +505,6 @@ class TestBruteForce:
         # 256**4, about 4.3e9 transcripts
         with pytest.raises(EnumerationLimitError, match=f"exceed ceiling {TRANSCRIPT_CEILING}$"):
             brute_force_advantage(Params(8, 0, 4))
-
-
-class TestProfileScore:
-    def test_values(self):
-        p = Params(2, 1, 2)
-        # one bucket with both replies: ln(1/2) + 1/2
-        assert profile_score(CountProfile((2,)), p) == pytest.approx(
-            math.log(0.5) + 0.5
-        )
-        assert profile_score(CountProfile((1, 1)), p) == 0.0
-
-    def test_rejects_overfull(self):
-        with pytest.raises(ValueError):
-            profile_score(CountProfile((3,)), Params(2, 1, 3))
 
 
 class TestMonteCarlo:

@@ -8,16 +8,12 @@ from truncperm.core import Params, make_rng
 from truncperm.exact import EnumerationLimitError, transcript_tallies
 from truncperm.moments import (
     MomentSet,
-    PreconditionError,
-    fourth_moment_bound_check,
     moments_empirical,
     _profile_moments,
     pair_collision_moments,
     pair_collision_moments_brute,
     power_standard_errors,
     profile_power_means,
-    tail_probability_check,
-    tail_witness_poly,
 )
 
 
@@ -117,52 +113,3 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             moments_empirical(Params(4, 2, 4), 1, make_rng(0))
 
-
-class TestFourthMomentBound:
-    def test_holds_in_regime(self):
-        for n, m, q in [(10, 9, 1024), (13, 11, 2048)]:
-            res = fourth_moment_bound_check(Params(n, m, q))
-            assert res.holds
-            assert res.margin == res.bound - res.fourth_moment > 0
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionError):
-            fourth_moment_bound_check(Params(10, 9, 362))  # q**2 just below B*2**16
-
-
-class TestWitnessPoly:
-    def test_roots(self):
-        for root in (Fraction(1, 10), Fraction(5), Fraction(-5, 2)):
-            assert tail_witness_poly(root) == 0
-
-    def test_factored_form_agrees(self):
-        for x in [Fraction(k, 7) for k in range(-30, 40)]:
-            factored = -((x + Fraction(5, 2)) ** 2) * (x - Fraction(1, 10)) * (x - 5)
-            assert tail_witness_poly(x) == factored
-
-    def test_sign_pattern(self):
-        assert tail_witness_poly(Fraction(1, 2)) > 0
-        assert tail_witness_poly(Fraction(0)) < 0
-        assert tail_witness_poly(Fraction(6)) < 0
-
-    def test_maximum_below_200(self):
-        crit = (103 + math.sqrt(29409)) / 80
-        assert float(tail_witness_poly(crit)) < 200
-        xs = [(-10 + k * 1e-2) for k in range(2001)]
-        assert max(float(tail_witness_poly(x)) for x in xs) < 200
-
-    def test_accepts_floats(self):
-        assert tail_witness_poly(0.1) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestTailProbability:
-    def test_check_passes_in_regime(self):
-        res = tail_probability_check(Params(10, 9, 512), 10**5, make_rng(19))
-        assert res.passes
-        assert res.estimate - 4 * res.std_err > 1 / 400
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionError):
-            tail_probability_check(Params(10, 9, 100), 10**5, make_rng(0))
-        with pytest.raises(PreconditionError):
-            tail_probability_check(Params(10, 9, 512), 10**4, make_rng(0))
