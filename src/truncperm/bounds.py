@@ -6,16 +6,28 @@ its source formula: values may exceed 1 (capping happens only in
 evaluated with that constant set to 1 and carry a reference-only flag.
 
 Fractional powers of two are computed in floats; everything else is exact
-where the formula is rational.
+where the formula is rational.  A float bound whose evaluation leaves the float
+range is math.inf, and is then far above 1; `hall_upper` is also math.inf
+where its scale underflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 Scalar = Fraction | float
+
+
+def float_or_inf(value: Scalar) -> float:
+    """float(value), or math.inf past the float range (every bound here is
+    non-negative)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _pow2_half(exponent: int) -> Scalar:
@@ -24,6 +36,16 @@ def _pow2_half(exponent: int) -> Scalar:
         half = exponent // 2
         return Fraction(1 << half) if half >= 0 else Fraction(1, 1 << -half)
     return 2.0 ** (exponent / 2)
+
+
+def _over_pow2_half(q: int, exponent: int) -> Scalar:
+    """q / 2**(exponent/2): an exact Fraction when exponent is even, else a
+    float (math.inf past the float range)."""
+    try:
+        half = _pow2_half(exponent)
+        return Fraction(q, half) if isinstance(half, Fraction) else q / half
+    except OverflowError:  # q or 2**(exponent/2) past the float range
+        return float_or_inf(Fraction(q, 1 << exponent // 2)) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -39,14 +61,18 @@ class BranchedBound:
     valid: bool
 
 
-def birthday_exact(n: int, q: int) -> Fraction:
+def birthday_exact(n: int, q: int) -> Fraction | None:
     """Advantage of the full (untruncated) random permutation: one minus the
-    probability that q uniform n-bit values are pairwise distinct."""
+    probability that q uniform n-bit values are pairwise distinct.  None
+    where q <= 2**n is past math.perm's sys.maxsize (q >= 2**63 on 64-bit
+    builds)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     dom = 1 << n
     if q > dom:
         return Fraction(1)
+    if q > sys.maxsize:
+        return None
     return 1 - Fraction(math.perm(dom, q), dom**q)
 
 
@@ -69,12 +95,19 @@ def hall_upper(n: int, m: int, q: int) -> float:
     """The 1998 upper bound 5 x**(2/3) + x**3 / (2 * 2**((n-7m)/2)) with
     x = q / 2**((n+m)/2).  Deteriorates (exceeds 1) well inside the valid
     query range once m is large; math.inf once 2**((n-7m)/2) underflows to
-    0.0 as a float."""
-    x = q / float(_pow2_half(n + m))
-    scale = 2.0 ** ((n - 7 * m) / 2)
-    if scale == 0.0:
+    0.0 as a float, or once x or x**3 is past the float range (x > 2**341,
+    so the bound is over 2**227)."""
+    x = float_or_inf(_over_pow2_half(q, n + m))
+    try:
+        scale = 2.0 ** ((n - 7 * m) / 2)
+    except OverflowError:  # past 2**1024: a finite x**3 / scale is below 5 x**(2/3)'s ulp
+        scale = math.inf
+    if scale == 0.0 or x == math.inf:
         return math.inf
-    return 5.0 * x ** (2.0 / 3.0) + 0.5 * x**3 / scale
+    try:
+        return 5.0 * x ** (2.0 / 3.0) + 0.5 * x**3 / scale
+    except OverflowError:
+        return math.inf
 
 
 def bellare_impagliazzo_upper(n: int, m: int, q: int) -> FlaggedBound:
@@ -84,7 +117,10 @@ def bellare_impagliazzo_upper(n: int, m: int, q: int) -> FlaggedBound:
     constant 1 and is reference-only.  Valid flag requires
     2**(n-m) < q < 2**((n+m)/2).
     """
-    value = float(n) * q / float(_pow2_half(n + m))
+    try:
+        value = float(n) * q / float(_pow2_half(n + m))
+    except OverflowError:  # q or 2**((n+m)/2) past the float range
+        value = n * float_or_inf(_over_pow2_half(q, n + m))
     valid = (1 << (n - m)) < q and q * q < (1 << (n + m))
     return FlaggedBound(value, valid)
 
@@ -95,22 +131,26 @@ def gilboa_gueron_upper(n: int, m: int, q: int) -> BranchedBound:
     Branch 1 applies for m <= n/3, branch 2 for larger m; the valid flag is
     false once m > n - log2(16n), where neither branch is established.
     """
-    x = q / float(_pow2_half(n + m))
-    if 3 * m <= n:
-        value = (
-            2.0 * 2.0 ** (1.0 / 3.0) * x ** (2.0 / 3.0)
-            + 2.0 * math.sqrt(2.0) / math.sqrt(3.0) * x**1.5
-            + x**2
-        )
-        return BranchedBound(value, branch=1, valid=True)
-    value = (
-        3.0 * x ** (2.0 / 3.0)
-        + 2.0 * x
-        + 5.0 * x**2
-        + 0.5 * (2.0 * x) ** (n / (n - m))
-    )
-    valid = m <= n - math.log2(16 * n)
-    return BranchedBound(value, branch=2, valid=valid)
+    branch = 1 if 3 * m <= n else 2
+    x = float_or_inf(_over_pow2_half(q, n + m))
+    try:
+        if branch == 1:
+            value = (
+                2.0 * 2.0 ** (1.0 / 3.0) * x ** (2.0 / 3.0)
+                + 2.0 * math.sqrt(2.0) / math.sqrt(3.0) * x**1.5
+                + x**2
+            )
+        else:
+            value = (
+                3.0 * x ** (2.0 / 3.0)
+                + 2.0 * x
+                + 5.0 * x**2
+                + 0.5 * (2.0 * x) ** (n / (n - m))
+            )
+    except OverflowError:  # a term past the float range
+        value = math.inf
+    valid = branch == 1 or m <= n - math.log2(16 * n)
+    return BranchedBound(value, branch, valid)
 
 
 def stam_upper(n: int, m: int, q: int) -> float:
@@ -122,7 +162,7 @@ def stam_upper(n: int, m: int, q: int) -> float:
     if q < 1:
         raise ValueError("q must be >= 1")
     ratio = Fraction(((1 << (n - m)) - 1) * q * (q - 1), (dom - 1) * (dom - (q - 1)))
-    return 0.5 * math.sqrt(ratio)
+    return 0.5 * math.sqrt(float_or_inf(ratio))
 
 
 def stam_upper_simplified(n: int, m: int, q: int) -> FlaggedBound:
@@ -131,8 +171,7 @@ def stam_upper_simplified(n: int, m: int, q: int) -> FlaggedBound:
     Exact (a Fraction) when n + m is even, e.g. exactly 2**-32 at
     (n, m, q) = (128, 64, 2**64).
     """
-    half = _pow2_half(n + m)
-    value = Fraction(q, half) if isinstance(half, Fraction) else q / half
+    value = _over_pow2_half(q, n + m)
     return FlaggedBound(value, valid=4 * q <= 3 * (1 << n))
 
 
@@ -146,9 +185,7 @@ def best_known_upper(n: int, m: int, q: int) -> Scalar:
 
 def advantage_envelope(n: int, m: int, q: int) -> Scalar:
     """The tight order of magnitude min{q**2/2**n, q/2**((n+m)/2), 1}."""
-    half = _pow2_half(n + m)
-    middle = Fraction(q, half) if isinstance(half, Fraction) else q / half
-    return min(Fraction(q * q, 1 << n), middle, Fraction(1))
+    return min(Fraction(q * q, 1 << n), _over_pow2_half(q, n + m), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -156,7 +193,7 @@ class BoundReport:
     n: int
     m: int
     q: int
-    birthday_exact: Fraction | None  # m = 0 only
+    birthday_exact: Fraction | None  # m = 0 only, and None past math.perm
     birthday_upper: Fraction
     hall_lower_ref: FlaggedBound
     hall_upper: float

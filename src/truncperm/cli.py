@@ -3,9 +3,9 @@
 Every subcommand evaluates its module over a single (n, m, q) cell or a sweep,
 and emits one row per cell as CSV (default) or JSON.  Each subcommand takes
 only the option groups it reads (`COMMANDS`).  All randomness is seeded; rows
-echo the seed and worker count where the command takes them, so a re-run with
-the same seed and any worker count reproduces the output byte for byte apart
-from the timing columns (`TIMING_COLUMNS`) and the echoed worker count.
+echo the seed where the command takes one, so a re-run with the same seed, on
+any host and any thread count, reproduces the output byte for byte apart from
+the timing columns (`TIMING_COLUMNS`).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__
-from .bounds import best_known_upper, bound_report
+from .bounds import best_known_upper, bound_report, float_or_inf
 from .checks import PreconditionError, run_lemma_suite
-from .core import Params, SamplerLimitError, default_workers, make_rng
+from .core import Params, SamplerLimitError, make_rng
 from .exact import (
     EnumerationLimitError,
     VIA_R_GREATER,
@@ -96,9 +96,8 @@ def _cells(args) -> list[tuple[int, int, int]]:
 
 
 def _provenance(args) -> dict:
-    """The seed and worker count, where the command takes them, and the
-    version."""
-    echoed = {key: getattr(args, key) for key in ("seed", "workers") if hasattr(args, key)}
+    """The seed, where the command takes one, and the version."""
+    echoed = {"seed": args.seed} if hasattr(args, "seed") else {}
     return {**echoed, "version": __version__}
 
 
@@ -223,7 +222,7 @@ def bounds_cell(args, p: Params):
             float(rep.birthday_exact) if rep.birthday_exact is not None else ""
         ),
         "birthday_upper": float(rep.birthday_upper),
-        "hall_lower_ref": float(rep.hall_lower_ref.value),
+        "hall_lower_ref": float_or_inf(rep.hall_lower_ref.value),
         "hall_lower_valid": rep.hall_lower_ref.valid,
         "hall_upper": rep.hall_upper,
         "bi_upper": rep.bi_upper.value,
@@ -232,7 +231,7 @@ def bounds_cell(args, p: Params):
         "gg_branch": rep.gg_upper.branch,
         "gg_valid": rep.gg_upper.valid,
         "stam_full": rep.stam_full if rep.stam_full is not None else "",
-        "stam_simplified": float(rep.stam_simplified.value),
+        "stam_simplified": float_or_inf(rep.stam_simplified.value),
         "stam_simplified_exact": _frac(rep.stam_simplified.value),
         "stam_simplified_valid": rep.stam_simplified.valid,
         "combined_upper": float(rep.combined_upper),
@@ -242,7 +241,7 @@ def bounds_cell(args, p: Params):
 
 
 def mc_cell(args, p: Params):
-    est = mc_advantage_sharded(p, args.trials, args.seed, workers=args.workers)
+    est = mc_advantage_sharded(p, args.trials, args.seed)
     fields = {
         "trials": est.trials,
         "estimate": est.mean,
@@ -305,7 +304,7 @@ def _build_rule(args, params: Params) -> Rule:
 
 def game_cell(args, p: Params):
     rule = _build_rule(args, p)
-    res = play_game_sharded(p, rule, args.trials, args.seed, workers=args.workers)
+    res = play_game_sharded(p, rule, args.trials, args.seed)
     fields = {
         "rule": rule.kind,
         "threshold": rule.threshold if rule.threshold is not None else "",
@@ -426,8 +425,8 @@ def cmd_bench(args):
 
 
 def _int_at_least(low: int):
-    """argparse type of an integer option of at least `low`: 1 for the trial,
-    worker and repetition counts, 0 for the seed."""
+    """argparse type of an integer option of at least `low`: 1 for the trial
+    and repetition counts, 0 for the seed."""
     kind = "positive" if low else "non-negative"
 
     def parse(text: str) -> int:
@@ -454,7 +453,6 @@ OPTION_GROUPS = {
     ),
     "trials": (("--trials", dict(type=_int_at_least(1), default=10**5)),),
     "seed": (("--seed", dict(type=_int_at_least(0), default=0)),),
-    "workers": (("--workers", dict(type=_int_at_least(1), default=default_workers())),),
     "rule": (
         ("--rule", dict(choices=("optimal", "optimal-less", "collision"), default="optimal")),
     ),
@@ -511,12 +509,9 @@ def main(argv=None) -> int:
 COMMANDS = {
     "exact": (partial(_sweep, cell_fn=exact_cell), ("cells",)),
     "bounds": (partial(_sweep, cell_fn=bounds_cell), ("cells",)),
-    "mc": (partial(_sweep, cell_fn=mc_cell), ("cells", "trials", "seed", "workers")),
+    "mc": (partial(_sweep, cell_fn=mc_cell), ("cells", "trials", "seed")),
     "moments": (partial(_sweep, cell_fn=moments_cell), ("cells", "trials", "seed")),
-    "game": (
-        partial(_sweep, cell_fn=game_cell),
-        ("cells", "trials", "seed", "workers", "rule"),
-    ),
+    "game": (partial(_sweep, cell_fn=game_cell), ("cells", "trials", "seed", "rule")),
     "lemmas": (cmd_lemmas, ("trials", "seed")),
     "stream": (cmd_stream, ("keystream", "seed", "balance")),
     "bench": (cmd_bench, ("keystream", "seed", "repetitions")),

@@ -24,6 +24,11 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # no resource limits on this platform
+    resource = None
+
 EXACT = "exact"
 LOG = "log"
 
@@ -169,7 +174,7 @@ def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
 
 
 #: Fixed shard count for parallel Monte Carlo.  Results depend on (seed,
-#: SHARD_COUNT) only, never on how many workers execute the shards.
+#: SHARD_COUNT) only, never on how many threads execute the shards.
 SHARD_COUNT = 32
 
 #: Most cells of a count matrix drawn at once.  Drawing `trials` rows from one
@@ -183,16 +188,32 @@ CHUNK_CELLS = 2**16
 #: is drawn within 1 GiB.
 THREAD_ROW_BYTES = 2**27
 
+#: Address space counted per thread against RLIMIT_AS, after THREAD_ROW_BYTES
+#: for the rows in flight.  Each thread reserves its stack and a malloc arena,
+#: about 67 MiB: under a 1 GiB limit, beside the 145 MB that truncperm.cli and
+#: numpy take, 13 threads started and the 14th failed with "can't start new
+#: thread".  The rest of the 2**27 is room for the rows' working copies: at
+#: rows of 2**21 counters 7 threads fit in 1 GiB and 8 did not.
+THREAD_ADDRESS_BYTES = 2**27
+
 _T = TypeVar("_T")
 
 
 def default_workers() -> int:
-    """The usable cores, capped at the shard count (more threads would idle)."""
+    """The threads `map_shards` may start: the usable cores (the affinity
+    mask, so `taskset` sets them), capped at the shard count (more threads
+    would idle) and, under a soft RLIMIT_AS, at one per THREAD_ADDRESS_BYTES
+    of what THREAD_ROW_BYTES leaves of it (at least one)."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    return min(cores, SHARD_COUNT)
+    threads = min(cores, SHARD_COUNT)
+    if resource is not None:
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit != resource.RLIM_INFINITY:
+            threads = min(threads, max(1, (limit - THREAD_ROW_BYTES) // THREAD_ADDRESS_BYTES))
+    return threads
 
 
 def map_shards(
@@ -200,25 +221,23 @@ def map_shards(
     params: Params,
     trials: int,
     seed: int | None,
-    workers: int = 1,
 ) -> list[_T]:
     """fn(shard_trials, rng) over the fixed shard layout of `trials`, in shard
     order: the trials split into at most SHARD_COUNT positive shards, the
     first `trials % SHARD_COUNT` one larger, and shard i gets stream i of
     spawn_rngs(seed, SHARD_COUNT).  The results depend on (seed, trials)
-    only, never on `workers`.
+    only, never on the thread count.
 
     A cell whose whole trials x buckets count matrix fits in one piece
     (`count_pieces`) runs its shards serially: a thread pool costs more than
-    it saves there.  Threads are also capped by the usable cores
-    (`default_workers`), as each reserves address space, and by
-    THREAD_ROW_BYTES."""
+    it saves there.  Otherwise it starts `default_workers()` threads, fewer
+    where the rows in flight would pass THREAD_ROW_BYTES."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     base, extra = divmod(trials, SHARD_COUNT)
     rngs = spawn_rngs(seed, SHARD_COUNT)
     shards = [(base + (i < extra), rngs[i]) for i in range(min(trials, SHARD_COUNT))]
-    threads = min(workers, default_workers(), THREAD_ROW_BYTES // (8 * params.num_replies))
+    threads = min(default_workers(), THREAD_ROW_BYTES // (8 * params.num_replies))
     if trials * params.num_replies <= CHUNK_CELLS or threads <= 1:
         return [fn(t, rng) for t, rng in shards]
     with ThreadPoolExecutor(max_workers=threads) as pool:

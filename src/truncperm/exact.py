@@ -383,13 +383,10 @@ def mc_advantage_sharded(
     params: Params,
     trials: int,
     seed: int | None,
-    workers: int = 1,
 ) -> MonteCarloEstimate:
-    """Sharded `mc_advantage`: deterministic in (seed, trials), for any worker
+    """Sharded `mc_advantage`: deterministic in (seed, trials), for any thread
     count, by fixing the shard layout and merging in shard order."""
-    shots = map_shards(
-        lambda t, rng: mc_advantage(params, t, rng), params, trials, seed, workers
-    )
+    shots = map_shards(lambda t, rng: mc_advantage(params, t, rng), params, trials, seed)
     # merge sums, not means, so the float result is order-fixed
     s = math.fsum(e.mean * e.trials for e in shots)
     ss = math.fsum(

@@ -150,7 +150,6 @@ def play_game_sharded(
     rule: Rule,
     trials: int,
     seed: int | None,
-    workers: int = 1,
 ) -> GameResult:
     """Run `trials` independent transcripts under each oracle, apply the rule,
     and report acceptance rates, their absolute gap, and the binomial
@@ -158,7 +157,7 @@ def play_game_sharded(
     `map_shards`, and acceptance counts merge as integer sums in shard order,
     so the result depends only on (seed, trials)."""
     shots = map_shards(
-        lambda t, rng: _play_arm_counts(params, rule, t, rng), params, trials, seed, workers
+        lambda t, rng: _play_arm_counts(params, rule, t, rng), params, trials, seed
     )
     acc_fun = sum(s[0] for s in shots)
     acc_perm = sum(s[1] for s in shots)

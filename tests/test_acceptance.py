@@ -16,6 +16,7 @@ from math import comb, factorial
 
 import pytest
 
+import truncperm.core
 from truncperm.bounds import (
     best_known_upper,
     birthday_upper,
@@ -224,7 +225,7 @@ def test_criterion_08_lemma_suite(report):
 def test_criterion_09_game_convergence(report):
     p = Params(8, 4, 32)
     exact = float(exact_advantage(p).value)
-    res = play_game_sharded(p, optimal_rule(), 10**5, seed=9, workers=2)
+    res = play_game_sharded(p, optimal_rule(), 10**5, seed=9)
     ok = abs(res.empirical_advantage - exact) <= 4 * res.standard_error
     report(9, ok,
            f"empirical {res.empirical_advantage:.5f} vs exact {exact:.5f} "
@@ -266,27 +267,26 @@ def test_criterion_11_stream_balance(report):
     assert ok
 
 
-def test_criterion_12_cli_determinism(report, capsys):
-    def run(workers):
+def test_criterion_12_cli_determinism(report, capsys, monkeypatch):
+    def run(threads):
+        monkeypatch.setattr(truncperm.core, "default_workers", lambda: threads)
         argv = ["mc", "--n", "8", "--m", "4", "--q", "32", "--trials", "20000",
-                "--seed", "12", "--workers", str(workers)]
+                "--seed", "12"]
         code = cli_main(argv)
         out = capsys.readouterr().out
         return code, list(csv.DictReader(io.StringIO(out)))
 
-    def strip(rows, extra=()):
-        drop = set(TIMING_COLUMNS) | set(extra)
-        return [{k: v for k, v in r.items() if k not in drop} for r in rows]
+    def strip(rows):
+        return [{k: v for k, v in r.items() if k not in TIMING_COLUMNS} for r in rows]
 
     c1, first = run(1)
     c2, again = run(1)
     c3, four = run(4)
-    # worker count is echoed as provenance, so exclude that column when
-    # comparing the 1-worker and 4-worker runs
+    # no column is masked but timing: a row echoes no thread count
     ok = (
         c1 == c2 == c3 == 0
         and strip(first) == strip(again)
-        and strip(first, ("workers",)) == strip(four, ("workers",))
+        and strip(first) == strip(four)
     )
-    report(12, ok, "identical CSV modulo timing for reruns and workers 1 vs 4")
+    report(12, ok, "identical CSV modulo timing for reruns and 1 vs 4 threads")
     assert ok

@@ -1,7 +1,7 @@
 """The package's surface: the names it exports, and the parameters of the
-exact engine, the lemma checks and the bound report.  Each parameter is read
-by a CLI path or a library route, and none exists only for tests to set; no
-module imports a name it does not read."""
+exact engine, the shard runner, the lemma checks and the bound report.  Each
+parameter is read by a CLI path or a library route, and none exists only for
+tests to set; no module imports a name it does not read."""
 
 import ast
 import inspect
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import truncperm
-from truncperm import bounds, checks, exact, game, moments
+from truncperm import bounds, checks, core, exact, game, moments
 
 # the README tour's names, the two refusals and the version
 EXPORTS = {
@@ -26,7 +26,9 @@ PARAMETERS = {
     exact.brute_force_advantage: ["params"],
     game.rule_advantage_exact: ["params", "rule"],
     exact.mc_advantage: ["params", "trials", "rng"],
-    exact.mc_advantage_sharded: ["params", "trials", "seed", "workers"],
+    exact.mc_advantage_sharded: ["params", "trials", "seed"],
+    game.play_game_sharded: ["params", "rule", "trials", "seed"],
+    core.map_shards: ["fn", "params", "trials", "seed"],
     moments.pair_collision_moments_brute: ["q", "buckets"],
     exact.transcript_tallies: ["q", "buckets"],
     checks.check_distinct_prob_upper: [],

@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from truncperm.bounds import (
     stam_upper,
     stam_upper_simplified,
 )
+from truncperm.cli import main
 from truncperm.core import Params
 from truncperm.exact import exact_advantage
 
@@ -55,6 +59,11 @@ class TestBirthday:
     def test_upper_caps_at_one(self):
         assert birthday_upper(2, 4) == 1
         assert birthday_upper(4, 2) == Fraction(2, 32)
+
+    def test_exact_is_none_past_math_perm(self):
+        # math.perm takes k <= sys.maxsize; past the domain no perm is needed
+        assert birthday_exact(64, 2**63) is None
+        assert birthday_exact(62, 2**63) == 1
 
 
 class TestHall:
@@ -183,3 +192,56 @@ class TestBoundReport:
             bound_report(4, 4, 2)
         with pytest.raises(ValueError):
             bound_report(4, 2, 0)
+
+
+def _reference_bounds(n, m, q):
+    """hall_upper, bi_upper and gg_upper in 50-digit decimals, whose exponents
+    have no float limit."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        two, third = Decimal(2), Decimal(1) / 3
+        x = q / two ** (Decimal(n + m) / 2)
+        hall = 5 * x ** (2 * third) + x**3 / (2 * two ** (Decimal(n - 7 * m) / 2))
+        if 3 * m <= n:
+            gg = (2 * two**third * x ** (2 * third)
+                  + 2 * two.sqrt() / Decimal(3).sqrt() * x ** Decimal("1.5") + x**2)
+        else:
+            gg = (3 * x ** (2 * third) + 2 * x + 5 * x**2
+                  + (2 * x) ** (Decimal(n) / (n - m)) / 2)
+        return {"hall_upper": hall, "bi_upper": n * x, "gg_upper": gg}
+
+
+# cells whose float bounds raised OverflowError, with the bounds that are
+# math.inf there; the others are finite
+FLOAT_RANGE_CELLS = [
+    # 2**((n+m)/2) is past the float range, x = 3 / 2**1025 is not
+    ((2048, 2, 3), set()),
+    # x is subnormal; 2**((n-7m)/2) underflows, so hall_upper is inf as at (400, 390)
+    ((1100, 1000, 3), {"hall_upper"}),
+    # x = sqrt(2), and gg_upper's (2x)**700 / 2 = 2**1049 is past the float range
+    ((700, 699, 2**700), {"hall_upper", "gg_upper"}),
+    # x**3 = 2**1047 is past the float range (hall_upper is about 2**696), and
+    # q = 2**699 past math.perm
+    ((700, 0, 2**699), {"hall_upper"}),
+]
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("cell,infinite", FLOAT_RANGE_CELLS,
+                             ids=[str(cell[:2]) for cell, _ in FLOAT_RANGE_CELLS])
+    def test_overflowed_bounds_read_inf(self, capsys, cell, infinite):
+        rep = bound_report(*cell)
+        got = {"hall_upper": rep.hall_upper, "bi_upper": rep.bi_upper.value,
+               "gg_upper": rep.gg_upper.value}
+        assert {name for name, value in got.items() if value == math.inf} == infinite
+        reference = _reference_bounds(*cell)
+        for name in got.keys() - infinite:
+            assert math.isclose(got[name], float(reference[name]), rel_tol=1e-6), name
+        assert rep.birthday_exact is None
+        n, m, q = cell
+        assert main(["bounds", "--n", str(n), "--m", str(m), "--q", str(q)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert {name for name in got if row[name] == "inf"} == infinite
+        assert row["birthday_exact"] == ""

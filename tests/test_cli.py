@@ -32,9 +32,8 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def strip_timing(rows, extra=()):
-    drop = set(TIMING_COLUMNS) | set(extra)
-    return [{k: v for k, v in r.items() if k not in drop} for r in rows]
+def strip_timing(rows):
+    return [{k: v for k, v in r.items() if k not in TIMING_COLUMNS} for r in rows]
 
 
 class TestParser:
@@ -57,8 +56,7 @@ class TestParser:
     GAME_HELP = """\
 usage: truncperm game [-h] [--n N] [--m M] [--q Q] [--n-range LO HI]
                       [--m-range LO HI] [--q-range LO HI] [--trials TRIALS]
-                      [--seed SEED] [--workers WORKERS]
-                      [--rule {optimal,optimal-less,collision}]
+                      [--seed SEED] [--rule {optimal,optimal-less,collision}]
                       [--format {csv,json}] [--out OUT]
 
 options:
@@ -71,7 +69,6 @@ options:
   --q-range LO HI
   --trials TRIALS
   --seed SEED
-  --workers WORKERS
   --rule {optimal,optimal-less,collision}
   --format {csv,json}
   --out OUT
@@ -147,7 +144,7 @@ options:
 OPTION_VALUES = {
     "--n": ["8"], "--m": ["4"], "--q": ["16"],
     "--n-range": ["2", "3"], "--m-range": ["0", "1"], "--q-range": ["1", "4"],
-    "--trials": ["100"], "--seed": ["3"], "--workers": ["2"],
+    "--trials": ["100"], "--seed": ["3"],
     "--rule": ["collision"],
     "--count": ["64"], "--start": ["5"], "--packing": ["byte"], "--perm": ["feistel"],
     "--balance": [], "--repetitions": ["2"],
@@ -158,9 +155,9 @@ KEYSTREAM = ["--n", "--m", "--count", "--start", "--packing", "--perm"]
 READS = {
     "exact": CELLS,
     "bounds": CELLS,
-    "mc": CELLS + ["--trials", "--seed", "--workers"],
+    "mc": CELLS + ["--trials", "--seed"],
     "moments": CELLS + ["--trials", "--seed"],
-    "game": CELLS + ["--trials", "--seed", "--workers", "--rule"],
+    "game": CELLS + ["--trials", "--seed", "--rule"],
     "lemmas": ["--trials", "--seed"],
     "stream": KEYSTREAM + ["--seed", "--balance"],
     "bench": KEYSTREAM + ["--seed", "--repetitions"],
@@ -169,9 +166,9 @@ READS = {
 PROVENANCE = {
     "exact": ["version"],
     "bounds": ["version"],
-    "mc": ["seed", "workers", "version"],
+    "mc": ["seed", "version"],
     "moments": ["seed", "version"],
-    "game": ["seed", "workers", "version"],
+    "game": ["seed", "version"],
     "lemmas": ["seed", "version"],
     "stream": ["seed", "version"],
     "bench": ["seed", "version"],
@@ -205,7 +202,7 @@ class TestOptions:
         rows = parse_csv(capsys.readouterr().out)
         tail = PROVENANCE[argv[0]] + ["cpu_s", "elapsed_s"]
         assert rows and all(list(r)[-len(tail):] == tail for r in rows)
-        assert all(r["version"] == __version__ for r in rows)
+        assert all(r["version"] == __version__ and "workers" not in r for r in rows)
 
     @pytest.mark.parametrize("command", ["exact", "bounds"])
     def test_unseeded_rows_carry_no_seed_or_workers(self, capsys, command):
@@ -222,9 +219,6 @@ class TestCountOptions:
         ["game", "--n", "4", "--m", "2", "--q", "4", "--trials", "0"],
         ["moments", "--n", "4", "--m", "2", "--q", "4", "--trials", "0"],
         ["lemmas", "--trials", "0"],
-        ["mc", "--n", "4", "--m", "2", "--q", "4", "--workers", "0"],
-        ["game", "--n", "4", "--m", "2", "--q", "4", "--workers", "-5"],
-        ["mc", "--n", "4", "--m", "2", "--q", "4", "--workers", "two"],
     ], ids=" ".join)
     def test_rejects_non_positive_counts(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -270,8 +264,7 @@ class TestCountOptions:
 
     def test_workers_default_to_the_usable_cores(self, monkeypatch):
         default_workers = truncperm.core.default_workers
-        for command in ("mc", "game"):
-            assert build_parser().parse_args([command]).workers == default_workers()
+        monkeypatch.setattr(truncperm.core, "resource", None)  # no address-space cap
         if hasattr(os, "sched_getaffinity"):
             assert default_workers() == min(len(os.sched_getaffinity(0)), SHARD_COUNT)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)),
@@ -285,7 +278,7 @@ class TestCountOptions:
 
 
 # Result columns of small seeded cells as printed with one draw per shard and
-# arm on one worker; drawing in pieces and on threads must not change them.
+# arm on one thread; drawing in pieces and on threads must not change them.
 GOLDEN_ROWS = [
     # 1024 buckets: 64-row pieces, 100 trials per shard
     ("mc --n 12 --m 2 --q 64 --trials 3200 --seed 4",
@@ -327,25 +320,26 @@ GOLDEN_ROWS = [
 ]
 
 
-# each golden cell at the default worker count, and at 1 and 3 workers where
-# the command takes --workers (moments draws from one Generator)
+# each golden cell at the default thread count, and at 1 and 3 threads where
+# the command runs shards (moments draws from one Generator)
 GOLDEN_RUNS = [
-    (argv + extra, want)
+    (argv, threads, want)
     for argv, want in GOLDEN_ROWS
-    for extra in ([""] if argv.startswith("moments") else ["", " --workers 1", " --workers 3"])
+    for threads in ([None] if argv.startswith("moments") else [None, 1, 3])
 ]
 
 
 class TestSeededRows:
-    @pytest.mark.parametrize("argv,want", GOLDEN_RUNS, ids=[a for a, _ in GOLDEN_RUNS])
-    def test_result_columns_are_unchanged(self, capsys, argv, want):
+    @pytest.mark.parametrize(
+        "argv,threads,want", GOLDEN_RUNS,
+        ids=[a if t is None else f"{a} threads={t}" for a, t, _ in GOLDEN_RUNS])
+    def test_result_columns_are_unchanged(self, capsys, monkeypatch, argv, threads, want):
+        if threads is not None:
+            monkeypatch.setattr(truncperm.core, "default_workers", lambda: threads)
         code, out = run_cli(capsys, *argv.split())
         row = parse_csv(out)[0]
         assert code == 0
         assert {k: row[k] for k in want} == want
-        if not argv.startswith("moments"):
-            given = argv.split("--workers ")[1:]
-            assert row["workers"] == (given[0] if given else str(truncperm.core.default_workers()))
 
     @pytest.mark.parametrize("argv", [
         "mc --n 12 --m 2 --q 64 --trials 3200",
@@ -396,12 +390,19 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_capped(argv, cwd=None):
+# the CLI in a child that sees `cores` usable cores, set before it is imported
+WITH_CORES = ("import os, sys; os.sched_getaffinity = lambda pid: set(range({})); "
+              "import truncperm.cli; sys.exit(truncperm.cli.main(sys.argv[1:]))")
+
+
+def run_capped(argv, cwd=None, cores=None):
     """`truncperm argv` in a child with a 1 GiB address space and a 60 s
-    deadline, importing the package this test imports from any `cwd`."""
+    deadline, importing the package this test imports from any `cwd`; with
+    `cores`, the child's affinity call reports that many usable cores."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    entry = ["-m", "truncperm"] if cores is None else ["-c", WITH_CORES.format(cores)]
     return subprocess.run(
-        [sys.executable, "-m", "truncperm", *argv.split()], cwd=cwd,
+        [sys.executable, *entry, *argv.split()], cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
     )
@@ -436,10 +437,13 @@ LONG_ROWS = [
     "game --n 24 --m 0 --q 3 --trials 2 --rule collision",
 ]
 
-# more workers than usable cores; each thread reserves address space
-MANY_WORKERS = [
-    "mc --n 12 --m 6 --q 512 --trials 100000 --workers 16",
-    "game --n 10 --m 0 --q 3 --trials 6400 --workers 32",
+# cells that start threads; on 32 usable cores under 1 GiB, each thread's
+# address space, and then its rows, would not fit
+MANY_CORES = [
+    "mc --n 12 --m 6 --q 512 --trials 100000",
+    "game --n 10 --m 0 --q 3 --trials 6400",
+    # rows of 2**21 counters: THREAD_ROW_BYTES admits 8 threads, 1 GiB held 7
+    "mc --n 21 --m 0 --q 3 --trials 64",
 ]
 
 
@@ -450,14 +454,13 @@ class TestLongRows:
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-300:]
         assert len(parse_csv(proc.stdout)) == 1
 
-    @pytest.mark.parametrize("argv", MANY_WORKERS)
-    def test_threads_are_capped_by_the_cores(self, argv):
-        proc = run_capped(argv)
+    @pytest.mark.parametrize("argv", MANY_CORES)
+    def test_threads_are_capped_by_the_address_space(self, argv):
+        proc = run_capped(argv, cores=32)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-300:]
-        serial = run_capped(argv.split(" --workers ")[0] + " --workers 1")
+        serial = run_capped(argv, cores=1)
         assert serial.returncode == 0, serial.stderr[-300:]
-        assert (strip_timing(parse_csv(proc.stdout), ["workers"])
-                == strip_timing(parse_csv(serial.stdout), ["workers"]))
+        assert strip_timing(parse_csv(proc.stdout)) == strip_timing(parse_csv(serial.stdout))
 
     def test_threads_are_capped_by_row_bytes(self, monkeypatch):
         pools = []
@@ -470,12 +473,12 @@ class TestLongRows:
         monkeypatch.setattr(truncperm.core, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(truncperm.core, "default_workers", lambda: SHARD_COUNT)
         for n in (21, 22, 23, 24, 25):
-            truncperm.core.map_shards(lambda t, rng: None, Params(n, 0, 3), 8, 0, workers=8)
+            truncperm.core.map_shards(lambda t, rng: None, Params(n, 0, 3), 8, 0)
         # 2**27 bytes of rows: 8 threads at 2**21 counters, serial from 2**24 on
         assert pools == [8, 4, 2]
         # and never more threads than cores
         monkeypatch.setattr(truncperm.core, "default_workers", lambda: 3)
-        truncperm.core.map_shards(lambda t, rng: None, Params(21, 0, 3), 8, 0, workers=8)
+        truncperm.core.map_shards(lambda t, rng: None, Params(21, 0, 3), 8, 0)
         assert pools[-1] == 3
 
 
@@ -654,15 +657,14 @@ class TestBoundsCommand:
 
 
 class TestMcCommand:
-    def test_deterministic_across_workers(self, capsys):
-        _, out1 = run_cli(capsys, "mc", "--n", "8", "--m", "4", "--q", "32",
-                          "--trials", "20000", "--seed", "9", "--workers", "1")
-        _, out4 = run_cli(capsys, "mc", "--n", "8", "--m", "4", "--q", "32",
-                          "--trials", "20000", "--seed", "9", "--workers", "4")
-        # identical apart from timing and the echoed worker count
-        a = strip_timing(parse_csv(out1), extra=("workers",))
-        b = strip_timing(parse_csv(out4), extra=("workers",))
-        assert a == b
+    def test_deterministic_across_workers(self, capsys, monkeypatch):
+        outs = []
+        for threads in (1, 4):
+            monkeypatch.setattr(truncperm.core, "default_workers", lambda: threads)
+            outs.append(run_cli(capsys, "mc", "--n", "8", "--m", "4", "--q", "32",
+                                "--trials", "20000", "--seed", "9")[1])
+        # identical apart from timing
+        assert strip_timing(parse_csv(outs[0])) == strip_timing(parse_csv(outs[1]))
 
     def test_seed_changes_estimate(self, capsys):
         _, out1 = run_cli(capsys, "mc", "--n", "8", "--m", "4", "--q", "32",
@@ -842,7 +844,7 @@ class TestBenchCommand:
 class TestDeterminism:
     def test_identical_reruns(self, capsys):
         args = ("game", "--n", "8", "--m", "4", "--q", "32",
-                "--trials", "10000", "--seed", "17", "--workers", "2")
+                "--trials", "10000", "--seed", "17")
         _, out1 = run_cli(capsys, *args)
         _, out2 = run_cli(capsys, *args)
         assert strip_timing(parse_csv(out1)) == strip_timing(parse_csv(out2))

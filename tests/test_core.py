@@ -1,4 +1,6 @@
 import math
+import os
+import resource
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from truncperm.core import (
     LOG_ZERO,
     MATRIX_CELLS,
     SHARD_COUNT,
+    THREAD_ADDRESS_BYTES,
     CountProfile,
     Params,
     SamplerLimitError,
@@ -308,15 +311,28 @@ class TestMapShards:
     def test_one_piece_cell_starts_no_pool(self, pools):
         p = Params(10, 4, 256)  # 64 buckets
         trials = CHUNK_CELLS // p.num_replies  # the whole matrix is one piece
-        out = map_shards(lambda t, rng: t, p, trials, seed=1, workers=4)
+        out = map_shards(lambda t, rng: t, p, trials, seed=1)
         assert sum(out) == trials and pools == []
 
-    def test_larger_cell_uses_the_workers(self, pools):
+    def test_larger_cell_uses_the_workers(self, pools, monkeypatch):
         p = Params(10, 4, 256)
         trials = CHUNK_CELLS // p.num_replies + 1
-        serial = map_shards(lambda t, rng: rng.integers(1 << 30), p, trials, 1, 1)
-        threaded = map_shards(lambda t, rng: rng.integers(1 << 30), p, trials, 1, 4)
+        monkeypatch.setattr(core, "default_workers", lambda: 1)
+        serial = map_shards(lambda t, rng: rng.integers(1 << 30), p, trials, 1)
+        monkeypatch.setattr(core, "default_workers", lambda: 4)
+        threaded = map_shards(lambda t, rng: rng.integers(1 << 30), p, trials, 1)
         assert serial == threaded and pools == [4]
+
+    @pytest.mark.parametrize("limit,threads", [
+        (resource.RLIM_INFINITY, SHARD_COUNT),  # the cores, capped at the shards
+        (1 << 30, 7),  # 2**27 for the rows, then 2**27 per thread
+        (THREAD_ADDRESS_BYTES - 1, 1),  # below one thread's reservation
+    ])
+    def test_threads_are_capped_by_the_address_space(self, monkeypatch, limit, threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)), raising=False)
+        monkeypatch.setattr(core.resource, "getrlimit",
+                            lambda what: (limit, resource.RLIM_INFINITY))
+        assert core.default_workers() == threads
 
     def test_shard_layout(self):
         p = Params(4, 2, 4)

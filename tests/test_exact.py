@@ -522,14 +522,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_advantage(Params(2, 1, 2), 0, make_rng(0))
 
-    def test_sharded_worker_invariance(self):
+    def test_sharded_worker_invariance(self, monkeypatch):
         p = Params(8, 4, 32)
-        one = mc_advantage_sharded(p, 20_000, seed=5, workers=1)
-        four = mc_advantage_sharded(p, 20_000, seed=5, workers=4)
+        monkeypatch.setattr(truncperm.core, "default_workers", lambda: 1)
+        one = mc_advantage_sharded(p, 20_000, seed=5)
+        monkeypatch.setattr(truncperm.core, "default_workers", lambda: 4)
+        four = mc_advantage_sharded(p, 20_000, seed=5)
         assert one == four
 
     def test_sharded_tracks_exact(self):
         p = Params(8, 4, 32)
         exact = float(exact_advantage(p).value)
-        est = mc_advantage_sharded(p, 10**5, seed=11, workers=2)
+        est = mc_advantage_sharded(p, 10**5, seed=11)
         assert abs(est.mean - exact) < 4 * est.std_err

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import truncperm.core
 from truncperm.core import (
     CountProfile,
     Params,
@@ -195,10 +196,12 @@ class TestPlayGame:
 
 
 class TestPlayGameSharded:
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, monkeypatch):
         p = Params(8, 4, 32)
-        one = play_game_sharded(p, optimal_rule(), 20_000, seed=3, workers=1)
-        four = play_game_sharded(p, optimal_rule(), 20_000, seed=3, workers=4)
+        monkeypatch.setattr(truncperm.core, "default_workers", lambda: 1)
+        one = play_game_sharded(p, optimal_rule(), 20_000, seed=3)
+        monkeypatch.setattr(truncperm.core, "default_workers", lambda: 4)
+        four = play_game_sharded(p, optimal_rule(), 20_000, seed=3)
         assert one == four
 
     def test_seed_changes_result(self):
