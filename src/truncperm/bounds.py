@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import all_distinct_prob
+
 Scalar = Fraction | float
 
 
@@ -73,7 +75,7 @@ def birthday_exact(n: int, q: int) -> Fraction | None:
         return Fraction(1)
     if q > sys.maxsize:
         return None
-    return 1 - Fraction(math.perm(dom, q), dom**q)
+    return 1 - all_distinct_prob(q, dom)
 
 
 def birthday_upper(n: int, q: int) -> Fraction:

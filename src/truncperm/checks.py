@@ -37,13 +37,11 @@ ALPHAS = tuple(2**j for j in range(1, 21)) + (3, 5, 7, 100, 1000, 999983)
 K_MAX = 1024
 
 # the cells of the fourth-moment bound and of the Monte Carlo tail bound, all
-# in the large-q regime q > 2**((n-m)/2 + 8) that both lemmas assume
+# in the large-q regime q > 2**((n-m)/2 + 8) that both lemmas assume, and the
+# tail bound's sample size, enough to resolve its 1/400
 FOURTH_MOMENT_CELLS = (Params(10, 9, 1024), Params(13, 11, 2048))
 TAIL_CELL = Params(10, 9, 512)
-
-
-class PreconditionError(ValueError):
-    """Raised when a check is asked for outside its stated parameter range."""
+TAIL_TRIALS = 10**5
 
 
 @dataclass(frozen=True)
@@ -300,20 +298,20 @@ def check_fourth_moment() -> CheckResult:
     return _result("fourth_moment_bound", slacks, len(slacks))
 
 
-def check_tail_probability(rng, trials: int = 10**5) -> CheckResult:
-    """Monte Carlo tail bound at TAIL_CELL: the collision excess exceeds the
-    collision rule's cutoff (`collision_rule_threshold`) with probability
-    > 1/400, by a 4-standard-error margin."""
-    if trials < 10**5:
-        raise PreconditionError("trials must be >= 1e5 to resolve 1/400")
-    x = _sample_excess(TAIL_CELL, trials, rng)
+def check_tail_probability(rng) -> CheckResult:
+    """Monte Carlo tail bound at TAIL_CELL: over TAIL_TRIALS transcripts drawn
+    from `rng`, the collision excess exceeds the collision rule's cutoff
+    (`collision_rule_threshold`) with probability > 1/400, by a
+    4-standard-error margin."""
+    x = _sample_excess(TAIL_CELL, TAIL_TRIALS, rng)
     hits = float(np.mean(x > collision_rule_threshold(TAIL_CELL)))
-    se = math.sqrt(max(hits * (1.0 - hits), 1e-12) / trials)
+    se = math.sqrt(max(hits * (1.0 - hits), 1e-12) / TAIL_TRIALS)
     return _result("collision_tail_probability", [hits - 4.0 * se - 1.0 / 400.0], 1)
 
 
-def run_lemma_suite(rng, trials: int = 10**5) -> list[CheckResult]:
-    """Every inequality check on its default grid, in a fixed order."""
+def run_lemma_suite(rng) -> list[CheckResult]:
+    """Every inequality check on its fixed grid, in a fixed order; `rng`
+    draws the tail check's sample, the only random one."""
     return [
         check_distinct_prob_upper(),
         check_log1m_lower(),
@@ -325,5 +323,5 @@ def run_lemma_suite(rng, trials: int = 10**5) -> list[CheckResult]:
         check_witness_poly(),
         check_witness_poly_expectation(),
         check_fourth_moment(),
-        check_tail_probability(rng, trials=trials),
+        check_tail_probability(rng),
     ]

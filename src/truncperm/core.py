@@ -99,7 +99,8 @@ class CountProfile:
 
 def all_distinct_prob(k: int, alpha: int, mode: str = EXACT) -> Fraction | float:
     """Probability that k uniform draws from alpha values are pairwise distinct:
-    the product of (1 - j/alpha) for j = 0 .. k-1.
+    the product of (1 - j/alpha) for j = 0 .. k-1, formed exactly as the one
+    Fraction perm(alpha, k) / alpha**k.
 
     Exactly 0 for k > alpha.  ``mode=LOG`` returns the log of the product
     (LOG_ZERO for the zero case).
@@ -111,10 +112,7 @@ def all_distinct_prob(k: int, alpha: int, mode: str = EXACT) -> Fraction | float
     if mode == EXACT:
         if k > alpha:
             return Fraction(0)
-        out = Fraction(1)
-        for j in range(k):
-            out *= Fraction(alpha - j, alpha)
-        return out
+        return Fraction(math.perm(alpha, k), alpha**k)
     if mode == LOG:
         if k > alpha:
             return LOG_ZERO

@@ -121,17 +121,11 @@ def _partition_counts(total: int, max_part: int, max_parts: int) -> Iterator[int
         yield coeffs[total]
 
 
-def count_partitions(total: int, max_part: int, max_parts: int) -> int:
-    """Number of partitions of `total` into at most `max_parts` parts, each <=
-    max_part, without listing them: the last of `_partition_counts`."""
-    *_, count = _partition_counts(total, max_part, max_parts)
-    return count
-
-
 def _price(total: int, max_part: int, max_parts: int) -> int:
-    """The number of profiles a sum visits, `count_partitions(total, max_part,
-    max_parts)`, counted before it visits any; over PROFILE_CEILING, raises
-    EnumerationLimitError at the first factor whose count passes it."""
+    """The number of profiles a sum visits, the partitions of `total` into at
+    most `max_parts` parts, each <= max_part (the last of
+    `_partition_counts`), counted before it visits any; over PROFILE_CEILING,
+    raises EnumerationLimitError at the first factor whose count passes it."""
     for priced in _partition_counts(total, max_part, max_parts):
         if priced > PROFILE_CEILING:
             raise EnumerationLimitError(

@@ -5,7 +5,8 @@ The statistic is the number of colliding reply pairs minus its uniform-oracle
 mean; its first four moments have closed forms in the single-pair collision
 probability p = 1/#buckets.  The closed forms are implemented exactly as
 printed (products of binomials and polynomials in p, no algebraic
-simplification) so the brute-force oracle catches transcription slips.
+simplification) so the tests' brute-force oracle, `_profile_moments` over
+`exact.transcript_tallies`, catches transcription slips.
 
 All closed forms work for an arbitrary bucket count, not just powers of two.
 """
@@ -26,7 +27,7 @@ from .core import (
     require_count_rows,
     sample_function_count_matrix,
 )
-from .exact import enumerate_profiles, transcript_tallies
+from .exact import enumerate_profiles
 
 
 @dataclass(frozen=True)
@@ -87,19 +88,11 @@ def _profile_moments(weights, q: int, buckets: int, powers: int) -> list[Fractio
     return [Fraction(s, buckets ** (q + k)) for k, s in enumerate(sums, 1)]
 
 
-def pair_collision_moments_brute(q: int, buckets: int) -> MomentSet:
-    """Exhaustive oracle: the moments over the profile weights that
-    `transcript_tallies` finds by listing every transcript (at most
-    TRANSCRIPT_CEILING of them)."""
-    weights = transcript_tallies(q, buckets).items()
-    return MomentSet(*_profile_moments(weights, q, buckets, 4))
-
-
 def profile_power_means(params: Params, powers: int) -> list[Fraction]:
     """E x**k for k = 1 .. `powers` of the collision excess x, exactly, over
     the profile weights of `enumerate_profiles` (closed-form transcript
     counts), so a cell costs one term per partition of q rather than per
-    transcript; the first four are `pair_collision_moments_brute`'s.  Refused
+    transcript; the first four equal `pair_collision_moments`.  Refused
     (EnumerationLimitError) when those partitions number over
     PROFILE_CEILING."""
     return _profile_moments(enumerate_profiles(params), params.q, params.num_replies, powers)

@@ -31,13 +31,6 @@ BLOCK = 1 << 16
 _WORD = (1 << 64) - 1
 
 
-def truncate(y: int, n: int, m: int) -> int:
-    """Keep the n-m most significant bits of an n-bit value."""
-    if not 0 <= y < (1 << n):
-        raise ValueError(f"value {y} out of range for {n} bits")
-    return y >> m
-
-
 class ExplicitPermutation:
     """A uniformly random permutation of [0, 2**n), tabulated.
 
@@ -182,7 +175,8 @@ class StreamConfig:
 
 
 def generate_stream(perm, cfg: StreamConfig, sink) -> int:
-    """Emit truncate(perm(counter)) for each counter value into `sink`.
+    """Emit the top n-m bits of perm(counter) for each counter value into
+    `sink`.
 
     Bit-packed mode concatenates the (n-m)-bit symbols MSB-first into bytes
     (final byte zero-padded on the right); byte-aligned mode zero-pads each
@@ -201,34 +195,14 @@ def generate_stream(perm, cfg: StreamConfig, sink) -> int:
     return written
 
 
-def unpack_symbols(data: bytes, cfg: StreamConfig) -> list[int]:
-    """Recover the symbol sequence from a generated stream (round-trip of the
-    packing contract)."""
-    width = cfg.symbol_bits
-    row = width if cfg.packing == "bit" else 8 * ((width + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=cfg.count * row)
-    padded = np.zeros((cfg.count, 64 * ((row + 63) // 64)), dtype=np.uint8)
-    padded[:, padded.shape[1] - row :] = bits.reshape(cfg.count, row)
-    words = np.packbits(padded, axis=1).view(">u8")  # big-endian 64-bit words
-    values = words[:, 0].astype(object)
-    for j in range(1, words.shape[1]):
-        values = (values << 64) | words[:, j].astype(object)
-    return values.tolist()
-
-
-@dataclass(frozen=True)
-class BalanceResult:
-    passed: bool
-    histogram: np.ndarray  # occurrences of each (n-m)-bit prefix
-
-
 #: Widest permutation `balance_check` sweeps in full.
 BALANCE_MAX_N = 24
 
 
-def balance_check(perm, n: int, m: int) -> BalanceResult:
-    """Sweep every n-bit input; a bijection must hit each (n-m)-bit prefix
-    exactly 2**m times."""
+def balance_check(perm, m: int) -> bool:
+    """Sweep every input of the n-bit permutation `perm` (n = perm.n): True
+    if each (n-m)-bit prefix occurs exactly 2**m times, as for a bijection."""
+    n = perm.n
     if n > BALANCE_MAX_N:
         raise ValueError(f"full sweep limited to n <= {BALANCE_MAX_N}")
     width = n - m
@@ -236,12 +210,7 @@ def balance_check(perm, n: int, m: int) -> BalanceResult:
     for words in _blocks(perm, n, 0, 1 << n):
         rows = np.packbits(_bit_matrix(words, n, m, lead=32 - width), axis=1)
         hist += np.bincount(rows.view(">u4")[:, 0], minlength=1 << width)
-    return BalanceResult(bool(np.all(hist == (1 << m))), hist)
-
-
-def stream_length_bytes(n: int, m: int, q: int) -> int:
-    """Bit-packed length of a q-symbol stream, in bytes (rounded up)."""
-    return (q * (n - m) + 7) // 8
+    return bool(np.all(hist == (1 << m)))
 
 
 @dataclass(frozen=True)

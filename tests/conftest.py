@@ -1,7 +1,24 @@
+"""Shared fixtures, and the reference helpers that only the tests read."""
+
 import pytest
 
 from truncperm.core import CountProfile, Params, likelihood_ratio
-from truncperm.exact import count_partitions, enumerate_profiles
+from truncperm.exact import _partition_counts, enumerate_profiles, transcript_tallies
+from truncperm.moments import MomentSet, _profile_moments
+
+
+def count_partitions(total, max_part, max_parts):
+    """Number of partitions of `total` into at most `max_parts` parts, each <=
+    max_part, without listing them: the last of `_partition_counts`."""
+    *_, count = _partition_counts(total, max_part, max_parts)
+    return count
+
+
+def pair_collision_moments_brute(q, buckets):
+    """Exhaustive oracle of the closed-form moments: the moment sum over the
+    profile weights that `transcript_tallies` finds by listing every
+    transcript (at most TRANSCRIPT_CEILING of them)."""
+    return MomentSet(*_profile_moments(transcript_tallies(q, buckets).items(), q, buckets, 4))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """The package's surface: the names it exports, and the parameters of the
 exact engine, the shard runner, the lemma checks and the bound report.  Each
 parameter is read by a CLI path or a library route, and none exists only for
-tests to set; no module imports a name it does not read."""
+tests to set; no module imports a name it does not read, and every name the
+package defines is read somewhere in it."""
 
 import ast
 import inspect
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import truncperm
-from truncperm import bounds, checks, core, exact, game, moments
+from truncperm import bounds, checks, core, exact, game, moments, stream
 
 # the README tour's names, the two refusals and the version
 EXPORTS = {
@@ -29,7 +30,6 @@ PARAMETERS = {
     exact.mc_advantage_sharded: ["params", "trials", "seed"],
     game.play_game_sharded: ["params", "rule", "trials", "seed"],
     core.map_shards: ["fn", "params", "trials", "seed"],
-    moments.pair_collision_moments_brute: ["q", "buckets"],
     exact.transcript_tallies: ["q", "buckets"],
     checks.check_distinct_prob_upper: [],
     checks.check_log1m_lower: [],
@@ -40,8 +40,9 @@ PARAMETERS = {
     checks.check_witness_poly: [],
     checks.check_witness_poly_expectation: [],
     checks.check_fourth_moment: [],
-    checks.check_tail_probability: ["rng", "trials"],
-    checks.run_lemma_suite: ["rng", "trials"],
+    checks.check_tail_probability: ["rng"],
+    checks.run_lemma_suite: ["rng"],
+    stream.balance_check: ["perm", "m"],
     bounds.bound_report: ["n", "m", "q"],
     bounds.bellare_impagliazzo_upper: ["n", "m", "q"],
 }
@@ -55,10 +56,10 @@ def test_takes_only_the_parameters_it_reads(fn):
 def test_ceilings_are_fixed():
     assert exact.PROFILE_CEILING == 10**6
     assert exact.TRANSCRIPT_CEILING == 10**7
-    # the moments oracle lists its transcripts through the same ceiling
+    # the tests' moments oracle lists its transcripts through the same ceiling
     with pytest.raises(exact.EnumerationLimitError,
                        match=f"exceed ceiling {exact.TRANSCRIPT_CEILING}$"):
-        moments.pair_collision_moments_brute(24, 2)
+        exact.transcript_tallies(24, 2)
 
 
 def test_exports_only_the_tour_and_its_errors():
@@ -69,19 +70,65 @@ def test_exports_only_the_tour_and_its_errors():
     assert isinstance(truncperm.__version__, str)
 
 
-MODULES = sorted(p for p in Path(truncperm.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(truncperm.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_unused_import(path):
+def _scan(path):
+    """(defined, imported, loaded, attributes) of one module:
+    - defined: each top-level function, class and constant, and each
+      method and dataclass field of its classes, as dotted name: line;
+    - imported: each name an import binds (none of __future__): line;
+    - loaded: the names it reads as plain names;
+    - attributes: the attributes it reads and the names it imports."""
     tree = ast.parse(path.read_text())
-    imported = {}
+    defined, imported, loaded, attributes = {}, {}, set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            fields = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defined[f"{node.name}.{item.name}"] = item.lineno
+                elif fields and isinstance(item, ast.AnnAssign):
+                    defined[f"{node.name}.{item.target.id}"] = item.lineno
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert {name: line for name, line in imported.items() if name not in read} == {}
+                attributes.add(alias.name.split(".")[-1])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+    return defined, imported, loaded, attributes
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    _, imported, loaded, _ = _scan(path)
+    assert {name: line for name, line in imported.items() if name not in loaded} == {}
+
+
+def test_every_name_has_a_reader():
+    # a name is read where some module of the package loads it as a name or
+    # an attribute or imports it (an export from __init__.py counts); a
+    # keyword argument does not.  Dunder names are the interpreter's to read
+    scans = {path.stem: _scan(path) for path in SOURCES}
+    read = set().union(*(loaded | attributes for _, _, loaded, attributes in scans.values()))
+    unread = {}
+    for module, (defined, _, _, _) in scans.items():
+        for name, line in defined.items():
+            bare = name.rpartition(".")[2]
+            if bare not in read and not (bare.startswith("__") and bare.endswith("__")):
+                unread[f"{module}.{name}"] = line
+    assert unread == {}

@@ -6,7 +6,6 @@ import pytest
 from truncperm.checks import (
     FOURTH_MOMENT_CELLS,
     TAIL_CELL,
-    PreconditionError,
     check_distinct_prob_lower,
     check_distinct_prob_upper,
     check_doubling,
@@ -69,11 +68,6 @@ def test_fixed_cells_are_in_the_large_q_regime():
     assert not in_tail_regime(Params(10, 9, 362))  # q**2 just below B*2**16
 
 
-def test_tail_probability_needs_enough_trials():
-    with pytest.raises(PreconditionError, match=r"^trials must be >= 1e5 to resolve 1/400$"):
-        check_tail_probability(make_rng(0), 10**4)
-
-
 class TestWitnessPoly:
     def test_roots(self):
         for root in (Fraction(1, 10), Fraction(5), Fraction(-5, 2)):
@@ -113,26 +107,37 @@ class TestProfileScore:
             profile_score(CountProfile((3,)), Params(2, 1, 3))
 
 
-# (name, cases, worst slack) of lemma rows that must not move: the three
-# checks that share the loop over ALPHAS, as each gave with its own loop, and
-# the checks that hold their own helpers and cells; the tail row is the one
-# `make_rng(0)` gives
+# (cases, worst slack) of every lemma row, in suite order, as
+# `run_lemma_suite(make_rng(0))` gives them; none may move.  The three checks
+# that share the loop over ALPHAS give what each gave with its own loop.  The
+# full-domain exponential bound is the one red row (criterion 8)
 LEMMA_ROWS = {
-    check_distinct_prob_upper: ("distinct_prob_upper", 14425, 0.0),
-    check_distinct_prob_lower: ("distinct_prob_lower", 12843, 3.0316490059097606e-13),
-    check_doubling: ("score_doubling", 12843, 3.410604770600687e-13),
-    check_fourth_moment: ("fourth_moment_bound", 2, 17163439960.0),
-    check_witness_poly: ("witness_poly", 20004, 0.0),
-    check_profile_score_maximizer: ("profile_score_maximizer", 71, 0.0),
-    check_tail_probability: ("collision_tail_probability", 1, 0.2608610765510661),
+    "distinct_prob_upper": (14425, 0.0),
+    "log1m_lower": (501, 0.0),
+    "distinct_prob_lower": (12843, 3.0316490059097606e-13),
+    "score_doubling": (12843, 3.410604770600687e-13),
+    "profile_score_maximizer": (71, 0.0),
+    "likelihood_exponential_bound": (655, -1635.9339588504265),
+    "likelihood_exponential_bound_half_domain": (113, 2.9400777392844726e-11),
+    "witness_poly": (20004, 0.0),
+    "witness_poly_expectation": (2, 0.16610627185227056),
+    "fourth_moment_bound": (2, 17163439960.0),
+    "collision_tail_probability": (1, 0.2608610765510661),
 }
+RED_ROW = "likelihood_exponential_bound"
 
 
-@pytest.mark.parametrize("check", list(LEMMA_ROWS), ids=lambda f: f.__name__)
-def test_lemma_rows_are_pinned(check):
-    res = check(make_rng(0)) if check is check_tail_probability else check()
-    assert (res.name, res.cases, res.worst_slack) == LEMMA_ROWS[check]
-    assert res.passed and res.violations == ()
+@pytest.fixture(scope="module")
+def lemma_rows():
+    return {r.name: r for r in run_lemma_suite(make_rng(0))}
+
+
+@pytest.mark.parametrize("name", list(LEMMA_ROWS))
+def test_lemma_rows_are_pinned(lemma_rows, name):
+    res = lemma_rows[name]
+    assert (res.cases, res.worst_slack) == LEMMA_ROWS[name]
+    assert res.passed is (name != RED_ROW)
+    assert bool(res.violations) is (name == RED_ROW)
 
 
 class TestLikelihoodExponentialBound:
@@ -157,10 +162,8 @@ class TestLikelihoodExponentialBound:
 
 
 class TestSuite:
-    def test_fixed_order_and_known_failure(self):
-        results = run_lemma_suite(make_rng(0), trials=10**5)
-        names = [r.name for r in results]
-        assert names == [
+    def test_fixed_order_and_known_failure(self, lemma_rows):
+        assert list(lemma_rows) == [
             "distinct_prob_upper",
             "log1m_lower",
             "distinct_prob_lower",
@@ -173,9 +176,5 @@ class TestSuite:
             "fourth_moment_bound",
             "collision_tail_probability",
         ]
-        by_name = {r.name: r for r in results}
         # the full-domain exponential bound is the single known failure
-        assert not by_name["likelihood_exponential_bound"].passed
-        for name, r in by_name.items():
-            if name != "likelihood_exponential_bound":
-                assert r.passed, name
+        assert [name for name, r in lemma_rows.items() if not r.passed] == [RED_ROW]

@@ -158,7 +158,7 @@ READS = {
     "mc": CELLS + ["--trials", "--seed"],
     "moments": CELLS + ["--trials", "--seed"],
     "game": CELLS + ["--trials", "--seed", "--rule"],
-    "lemmas": ["--trials", "--seed"],
+    "lemmas": ["--seed"],
     "stream": KEYSTREAM + ["--seed", "--balance"],
     "bench": KEYSTREAM + ["--seed", "--repetitions"],
 }
@@ -218,7 +218,6 @@ class TestCountOptions:
         ["mc", "--n", "4", "--m", "2", "--q", "4", "--trials", "-3"],
         ["game", "--n", "4", "--m", "2", "--q", "4", "--trials", "0"],
         ["moments", "--n", "4", "--m", "2", "--q", "4", "--trials", "0"],
-        ["lemmas", "--trials", "0"],
     ], ids=" ".join)
     def test_rejects_non_positive_counts(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -764,7 +763,7 @@ class TestGameCommand:
 
 class TestLemmasCommand:
     def test_reports_known_failure_and_exits_nonzero(self, capsys):
-        code = main(["lemmas", "--trials", "100000"])
+        code = main(["lemmas"])
         out, err = capsys.readouterr()
         rows = parse_csv(out)
         status = {r["check"]: r["passed"] for r in rows}
@@ -778,12 +777,14 @@ class TestLemmasCommand:
                               "(n, m, q) = (4, 1, 16), profile (2, 2, 2, 2, 2, 2, 2, 2)")
         assert err.count("failed") == 1 and err.endswith("\n")
 
-    def test_too_few_trials_is_a_clean_error(self, capsys):
-        code = main(["lemmas", "--trials", "1000"])
+    def test_takes_no_trial_count(self, capsys):
+        # the tail check draws a fixed TAIL_TRIALS, so --trials is no option
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--trials", "0"])
         out, err = capsys.readouterr()
-        assert code == 2
+        assert exc.value.code == 2
         assert out == ""
-        assert err == "error: trials must be >= 1e5 to resolve 1/400\n"
+        assert err.endswith("error: unrecognized arguments: --trials 0\n")
 
 
 class TestStreamCommand:

@@ -64,6 +64,12 @@ class TestAllDistinctProb:
 
     def test_direct(self):
         assert all_distinct_prob(3, 8) == Fraction(21, 32)
+        # the draw-by-draw product, one factor per draw
+        for alpha in range(1, 30):
+            prod = Fraction(1)
+            for k in range(alpha + 1):
+                assert all_distinct_prob(k, alpha) == prod
+                prod *= Fraction(alpha - k, alpha)
 
     def test_zero_past_domain(self):
         assert all_distinct_prob(9, 8) == 0

@@ -28,7 +28,6 @@ from truncperm.exact import (
     _partitions,
     advantage_sum,
     brute_force_advantage,
-    count_partitions,
     enumerate_profiles,
     exact_advantage,
     mc_advantage,
@@ -37,6 +36,8 @@ from truncperm.exact import (
 )
 from truncperm.core import CountProfile
 from truncperm.game import COLLISION_THRESHOLD, Rule, rule_advantage_exact
+
+from conftest import count_partitions
 
 
 @lru_cache(maxsize=None)

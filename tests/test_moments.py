@@ -11,10 +11,11 @@ from truncperm.moments import (
     moments_empirical,
     _profile_moments,
     pair_collision_moments,
-    pair_collision_moments_brute,
     power_standard_errors,
     profile_power_means,
 )
+
+from conftest import pair_collision_moments_brute
 
 
 class TestClosedForm:
