@@ -17,11 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    CountProfile,
     Params,
-    all_distinct_prob,
     collision_excess_of_profile,
     likelihood_ratio,
+    log_all_distinct,
     log_all_distinct_table,
 )
 from .exact import _partitions, enumerate_profiles
@@ -153,22 +152,19 @@ def check_doubling() -> CheckResult:
     return _alpha_grid("score_doubling", 2, slack)
 
 
-def profile_score(profile: CountProfile, params: Params) -> float:
-    """Sum over occupied buckets of ln(all-distinct prob of the count) plus
-    pairs/capacity; the exchange quantity maximized by balanced profiles."""
+def profile_score(parts: tuple[int, ...], params: Params) -> float:
+    """Sum over the counts `parts` of occupied buckets of ln(all-distinct prob
+    of the count) plus pairs/capacity; the exchange quantity maximized by
+    balanced profiles."""
     cap = params.bucket_capacity
-    if not profile.fits_capacity(params):
+    if max(parts) > cap:
         raise ValueError("profile has a count above the bucket capacity 2**m")
-    terms = []
-    for d in profile.parts:
-        terms.append(float(all_distinct_prob(d, cap, mode="log")) + math.comb(d, 2) / cap)
-    return math.fsum(terms)
+    return math.fsum(log_all_distinct(d, cap) + math.comb(d, 2) / cap for d in parts)
 
 
 def _balanced_partition(q: int, buckets: int) -> tuple[int, ...]:
     lo, extra = divmod(q, buckets)
-    parts = [lo + 1] * extra + [lo] * (buckets - extra)
-    return tuple(d for d in parts if d > 0)
+    return (lo + 1,) * extra + (lo,) * (buckets - extra)
 
 
 def check_profile_score_maximizer() -> CheckResult:
@@ -182,11 +178,10 @@ def check_profile_score_maximizer() -> CheckResult:
         cap = 1 << m
         for q in range(1, min(8, b * cap) + 1):
             params = Params(n, m, q)
-            balanced = CountProfile(_balanced_partition(q, b))
-            best = profile_score(balanced, params)
+            best = profile_score(_balanced_partition(q, b), params)
             for parts, _ in _partitions(q, min(q, cap), b):
                 cases += 1
-                slacks.append(best - profile_score(CountProfile(parts), params))
+                slacks.append(best - profile_score(parts, params))
             if q < b:
                 slacks.append(-abs(best))  # maximum must be exactly 0
     return _result("profile_score_maximizer", slacks, cases)
@@ -223,9 +218,8 @@ def check_likelihood_exponential_bound(half_domain_only: bool = False) -> CheckR
                 cap = params.bucket_capacity
                 cell = []
                 for parts, _ in enumerate_profiles(params):
-                    profile = CountProfile(parts)
-                    r = likelihood_ratio(profile, params)
-                    x = collision_excess_of_profile(profile, params)
+                    r = likelihood_ratio(parts, params)
+                    x = collision_excess_of_profile(parts, params)
                     bound = math.exp(
                         q * q / 2 ** (n + m + 1) - float(x) / cap
                     )

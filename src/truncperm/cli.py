@@ -306,7 +306,7 @@ def game_cell(args, p: Params):
         "accept_rate_function": res.accept_rate_function,
         "accept_rate_permutation": res.accept_rate_permutation,
         "empirical_advantage": res.empirical_advantage,
-        "std_err": res.standard_error,
+        "std_err": res.standard_error if res.standard_error is not None else "",
         "exact_advantage": "",
         "within_4se": "",
         "exact_reason": "",
@@ -316,8 +316,11 @@ def game_cell(args, p: Params):
     except EnumerationLimitError as exc:
         fields["exact_reason"] = f"ceiling: {exc}"
         return fields, True
+    fields["exact_advantage"] = float(exact)
+    if res.standard_error is None:  # one trial per arm: nothing to hold it to
+        return fields, True
     within = abs(res.empirical_advantage - float(exact)) <= 4.0 * res.standard_error
-    fields.update(exact_advantage=float(exact), within_4se=within)
+    fields["within_4se"] = within
     return fields, within
 
 

@@ -1,8 +1,8 @@
 """Foundations of the truncated-permutation distinguishing experiment.
 
 A transcript is the length-q sequence of (n-m)-bit replies an adversary
-collects from the oracle; its count profile (the bucket histogram, sorted
-descending) carries everything the optimal distinguisher needs.
+collects from the oracle; its count profile (the tuple of its nonzero bucket
+counts, the parts) carries everything the optimal distinguisher needs.
 
 The likelihood ratio of a single profile is exact (`fractions.Fraction`).
 Sampled transcripts are handled as count matrices, one row of bucket counts
@@ -28,9 +28,6 @@ try:
     import resource
 except ImportError:  # no resource limits on this platform
     resource = None
-
-EXACT = "exact"
-LOG = "log"
 
 #: log-space representation of an exactly-zero probability
 LOG_ZERO = float("-inf")
@@ -75,49 +72,26 @@ class Params:
         return 1 << self.m
 
 
-@dataclass(frozen=True)
-class CountProfile:
-    """Histogram of a transcript over reply values: positive parts, descending."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d <= 0 for d in self.parts):
-            raise ValueError("profile parts must be positive (zeros are omitted)")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("profile parts must be sorted descending")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def fits_capacity(self, params: Params) -> bool:
-        """True iff every count is <= 2**m, i.e. the profile is reachable by a
-        truncated permutation."""
-        return all(d <= params.bucket_capacity for d in self.parts)
-
-
-def all_distinct_prob(k: int, alpha: int, mode: str = EXACT) -> Fraction | float:
+def all_distinct_prob(k: int, alpha: int) -> Fraction:
     """Probability that k uniform draws from alpha values are pairwise distinct:
     the product of (1 - j/alpha) for j = 0 .. k-1, formed exactly as the one
-    Fraction perm(alpha, k) / alpha**k.
-
-    Exactly 0 for k > alpha.  ``mode=LOG`` returns the log of the product
-    (LOG_ZERO for the zero case).
+    Fraction perm(alpha, k) / alpha**k.  Exactly 0 for k > alpha.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if mode == EXACT:
-        if k > alpha:
-            return Fraction(0)
-        return Fraction(math.perm(alpha, k), alpha**k)
-    if mode == LOG:
-        if k > alpha:
-            return LOG_ZERO
-        return math.fsum(math.log1p(-j / alpha) for j in range(k))
-    raise ValueError(f"unknown mode {mode!r}")
+    if k > alpha:
+        return Fraction(0)
+    return Fraction(math.perm(alpha, k), alpha**k)
+
+
+def log_all_distinct(k: int, alpha: int) -> float:
+    """Log of `all_distinct_prob(k, alpha)`, as the fsum of log1p(-j/alpha)
+    for j = 0 .. k-1; LOG_ZERO for k > alpha."""
+    if k > alpha:
+        return LOG_ZERO
+    return math.fsum(math.log1p(-j / alpha) for j in range(k))
 
 
 def log_all_distinct_table(k_max: int, alpha: int) -> np.ndarray:
@@ -134,24 +108,26 @@ def log_all_distinct_table(k_max: int, alpha: int) -> np.ndarray:
     return table
 
 
-def collision_excess_of_profile(profile: CountProfile, params: Params) -> Fraction:
+def collision_excess_of_profile(parts: tuple[int, ...], params: Params) -> Fraction:
     """Number of colliding reply pairs minus its uniform-oracle mean,
-    computed from the count profile."""
-    pairs = sum(comb(d, 2) for d in profile.parts)
+    computed from the counts `parts` of a profile."""
+    pairs = sum(comb(d, 2) for d in parts)
     return pairs - Fraction(comb(params.q, 2), params.num_replies)
 
 
-def likelihood_ratio(profile: CountProfile, params: Params) -> Fraction:
-    """Probability of observing a transcript with this profile under the
-    truncated-permutation oracle, divided by its probability under the uniform
-    oracle.  Exactly 0 whenever some count exceeds the bucket capacity 2**m.
+def likelihood_ratio(parts: tuple[int, ...], params: Params) -> Fraction:
+    """Probability of observing a transcript whose reply counts are `parts`
+    under the truncated-permutation oracle, divided by its probability under
+    the uniform oracle.  Exactly 0 whenever some count exceeds the bucket
+    capacity 2**m.
     """
-    if profile.total != params.q:
-        raise ValueError(f"profile sums to {profile.total}, expected q={params.q}")
-    if not profile.fits_capacity(params):
+    total = sum(parts)
+    if total != params.q:
+        raise ValueError(f"profile sums to {total}, expected q={params.q}")
+    if max(parts) > params.bucket_capacity:
         return Fraction(0)
     num = Fraction(1)
-    for d in profile.parts:
+    for d in parts:
         num *= all_distinct_prob(d, params.bucket_capacity)
     return num / all_distinct_prob(params.q, params.domain_size)
 
@@ -318,7 +294,7 @@ def _log_ratio_terms(params: Params) -> tuple[np.ndarray, float]:
     built once per cell rather than once per piece of its count matrix."""
     table = log_all_distinct_table(params.q, params.bucket_capacity)
     table.flags.writeable = False
-    return table, all_distinct_prob(params.q, params.domain_size, mode=LOG)
+    return table, log_all_distinct(params.q, params.domain_size)
 
 
 def log_likelihood_ratios(counts: np.ndarray, params: Params) -> np.ndarray:

@@ -22,10 +22,8 @@ import numpy as np
 
 from .core import (
     MATRIX_CELLS,
-    CountProfile,
     Params,
     SamplerLimitError,
-    _log_ratio_terms,
     count_pieces,
     likelihood_ratio,
     log_likelihood_ratios,
@@ -326,7 +324,7 @@ def brute_force_advantage(params: Params) -> AdvantageResult:
     total_transcripts = params.num_replies**params.q
     total = Fraction(0)
     for parts, count in tallies.items():
-        ratio = likelihood_ratio(CountProfile(parts), params)
+        ratio = likelihood_ratio(parts, params)
         if ratio > 1:
             total += Fraction(count, total_transcripts) * (ratio - 1)
     return AdvantageResult(total, VIA_R_GREATER, len(tallies), len(tallies))
@@ -358,12 +356,11 @@ def mc_advantage(
     else:
         # large reply alphabets: histogram one sampled transcript at a time,
         # over its at most q distinct replies
-        table, log_denom = _log_ratio_terms(params)
-        log_num = np.empty(trials)
+        log_ratio = np.empty(trials)
         for i in range(trials):
             draws = rng.integers(0, b, size=q)
-            log_num[i] = table[np.unique(draws, return_counts=True)[1]].sum()
-        log_ratio = log_num - log_denom
+            counts = np.unique(draws, return_counts=True)[1]
+            log_ratio[i] = log_likelihood_ratios(counts[None, :], params)[0]
     with np.errstate(invalid="ignore"):
         ratio = np.exp(log_ratio)
     ratio = np.nan_to_num(ratio, nan=0.0)

@@ -100,7 +100,7 @@ class GameResult:
     accept_rate_function: float
     accept_rate_permutation: float
     empirical_advantage: float
-    standard_error: float
+    standard_error: float | None  # None for a single trial per arm
 
 
 def _accept_counts(rule: Rule, counts: np.ndarray, params: Params) -> int:
@@ -139,9 +139,12 @@ def _result_from_accepts(acc_fun: int, acc_perm: int, trials: int) -> GameResult
     r_fun = acc_fun / trials
     r_perm = acc_perm / trials
     # plug-in binomial variances, each count held inside [1, trials - 1]: a
-    # rate of exactly 0 or 1 gets that of one accept or reject, not 0
-    held = (min(max(a, 1), trials - 1) / trials for a in (acc_fun, acc_perm))
-    se = math.sqrt(sum(r * (1.0 - r) / trials for r in held))
+    # rate of exactly 0 or 1 gets that of one accept or reject, not 0.  A
+    # single trial leaves that interval empty, and no standard error
+    se = None
+    if trials > 1:
+        held = (min(max(a, 1), trials - 1) / trials for a in (acc_fun, acc_perm))
+        se = math.sqrt(sum(r * (1.0 - r) / trials for r in held))
     return GameResult(trials, r_fun, r_perm, abs(r_perm - r_fun), se)
 
 
@@ -153,9 +156,9 @@ def play_game_sharded(
 ) -> GameResult:
     """Run `trials` independent transcripts under each oracle, apply the rule,
     and report acceptance rates, their absolute gap, and the binomial
-    standard error of the gap.  The trials run in the fixed shards of
-    `map_shards`, and acceptance counts merge as integer sums in shard order,
-    so the result depends only on (seed, trials)."""
+    standard error of the gap (None for a single trial).  The trials run in
+    the fixed shards of `map_shards`, and acceptance counts merge as integer
+    sums in shard order, so the result depends only on (seed, trials)."""
     shots = map_shards(
         lambda t, rng: _play_arm_counts(params, rule, t, rng), params, trials, seed
     )

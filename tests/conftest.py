@@ -2,7 +2,7 @@
 
 import pytest
 
-from truncperm.core import CountProfile, Params, likelihood_ratio
+from truncperm.core import Params, likelihood_ratio
 from truncperm.exact import _partition_counts, enumerate_profiles, transcript_tallies
 from truncperm.moments import MomentSet, _profile_moments
 
@@ -33,7 +33,7 @@ def small_cell_ratios():
                 p = Params(n, m, q)
                 if count_partitions(q, q, p.num_replies) <= 1000:
                     cells.append((p, [
-                        (parts, count, likelihood_ratio(CountProfile(parts), p))
+                        (parts, count, likelihood_ratio(parts, p))
                         for parts, count in enumerate_profiles(p)
                     ]))
     return cells

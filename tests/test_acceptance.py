@@ -34,7 +34,12 @@ from truncperm.exact import (
 )
 from truncperm.game import optimal_rule, play_game_sharded
 from truncperm.moments import moments_empirical, pair_collision_moments
-from truncperm.stream import ExplicitPermutation, balance_check
+from truncperm.stream import (
+    ExplicitPermutation,
+    StreamConfig,
+    balance_check,
+    generate_stream,
+)
 
 from conftest import pair_collision_moments_brute
 
@@ -134,13 +139,18 @@ def test_criterion_05_bound_dominance(exact_grid, report):
 
 def test_criterion_06_conclusions_reproduction(report):
     margin = stam_upper_simplified(128, 64, 2**64)
-    n, m, q = 128, 64, 2**64
-    length = (q * (n - m) + 7) // 8  # bit-packed bytes, rounded up
+    # the headline's 2**64 symbols of 64 bits make (q*(n-m)+7)//8 = 2**67
+    # bytes by the rule generate_stream keeps, checked here on small cells
+    lengths_ok = True
+    for n, m, q in ((8, 4, 256), (10, 3, 1000), (12, 1, 333)):
+        sink = io.BytesIO()
+        written = generate_stream(ExplicitPermutation(n, seed=6), StreamConfig(n, m, q), sink)
+        lengths_ok &= written == len(sink.getvalue()) == (q * (n - m) + 7) // 8
     ok = (
         margin.value == Fraction(1, 2**32)
         and isinstance(margin.value, Fraction)
         and margin.valid
-        and length == 2**67
+        and lengths_ok
     )
     report(6, ok, "margin 2**-32 exactly; 2**64 symbols of 64 bits = 2**67 bytes")
     assert ok

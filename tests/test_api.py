@@ -45,6 +45,11 @@ PARAMETERS = {
     stream.balance_check: ["perm", "m"],
     bounds.bound_report: ["n", "m", "q"],
     bounds.bellare_impagliazzo_upper: ["n", "m", "q"],
+    core.all_distinct_prob: ["k", "alpha"],
+    core.log_all_distinct: ["k", "alpha"],
+    core.likelihood_ratio: ["parts", "params"],
+    core.collision_excess_of_profile: ["parts", "params"],
+    checks.profile_score: ["parts", "params"],
 }
 
 

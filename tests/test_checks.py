@@ -20,7 +20,7 @@ from truncperm.checks import (
     run_lemma_suite,
     tail_witness_poly,
 )
-from truncperm.core import CountProfile, Params, make_rng
+from truncperm.core import Params, make_rng
 
 
 class TestIndividualChecks:
@@ -97,14 +97,14 @@ class TestProfileScore:
     def test_values(self):
         p = Params(2, 1, 2)
         # one bucket with both replies: ln(1/2) + 1/2
-        assert profile_score(CountProfile((2,)), p) == pytest.approx(
+        assert profile_score((2,), p) == pytest.approx(
             math.log(0.5) + 0.5
         )
-        assert profile_score(CountProfile((1, 1)), p) == 0.0
+        assert profile_score((1, 1), p) == 0.0
 
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
-            profile_score(CountProfile((3,)), Params(2, 1, 3))
+            profile_score((3,), Params(2, 1, 3))
 
 
 # (cases, worst slack) of every lemma row, in suite order, as

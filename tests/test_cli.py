@@ -722,6 +722,22 @@ class TestGameCommand:
         assert rows["3", "0", "8"]["accept_rate_function"] in ("0.0", "1.0")
         assert float(rows["3", "0", "8"]["std_err"]) > 0
 
+    @pytest.mark.parametrize("rule", ["optimal", "collision"])
+    def test_single_trial_has_no_standard_error(self, capsys, rule):
+        # one trial per arm gives no spread to hold the gap to, so the row
+        # keeps its exact advantage and passes; two trials are held to it
+        for seed in range(6):
+            code, out = run_cli(capsys, "game", "--n", "4", "--m", "1", "--q", "4",
+                                "--trials", "1", "--seed", str(seed), "--rule", rule)
+            row = parse_csv(out)[0]
+            assert code == 0
+            assert (row["std_err"], row["within_4se"]) == ("", "")
+            assert row["exact_advantage"] != ""
+        code, out = run_cli(capsys, "game", "--n", "4", "--m", "1", "--q", "4",
+                            "--trials", "2", "--seed", "0", "--rule", rule)
+        row = parse_csv(out)[0]
+        assert float(row["std_err"]) > 0 and row["within_4se"] in ("True", "False")
+
     @pytest.mark.parametrize("rule", ["optimal", "optimal-less"])
     def test_likelihood_rules_priced_by_the_greater_side(self, capsys, rule):
         # the full count, 1031391 profiles, is over the ceiling; the greater

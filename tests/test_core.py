@@ -15,7 +15,6 @@ from truncperm.core import (
     MATRIX_CELLS,
     SHARD_COUNT,
     THREAD_ADDRESS_BYTES,
-    CountProfile,
     Params,
     SamplerLimitError,
     all_distinct_prob,
@@ -23,6 +22,7 @@ from truncperm.core import (
     collision_excesses,
     count_pieces,
     likelihood_ratio,
+    log_all_distinct,
     log_likelihood_ratios,
     make_rng,
     map_shards,
@@ -73,35 +73,46 @@ class TestAllDistinctProb:
 
     def test_zero_past_domain(self):
         assert all_distinct_prob(9, 8) == 0
-        assert all_distinct_prob(9, 8, mode="log") == LOG_ZERO
 
-    def test_log_matches_exact(self):
+
+class TestLogAllDistinct:
+    def test_zero_past_domain(self):
+        assert log_all_distinct(9, 8) == LOG_ZERO
+
+    def test_matches_exact(self):
         for k, alpha in [(0, 5), (3, 8), (7, 7), (10, 1000)]:
             exact = all_distinct_prob(k, alpha)
-            assert math.isclose(
-                float(all_distinct_prob(k, alpha, mode="log")), math.log(exact)
-            )
+            assert math.isclose(log_all_distinct(k, alpha), math.log(exact))
 
     @given(st.integers(0, 50), st.integers(1, 200))
     def test_upper_bound_inequality(self, k, alpha):
         # log of the product never exceeds -k(k-1)/(2 alpha)
         if k > alpha:
             return
-        lhs = all_distinct_prob(k, alpha, mode="log")
+        lhs = log_all_distinct(k, alpha)
         assert lhs <= -k * (k - 1) / (2 * alpha) + 1e-12
 
 
-class TestCountProfile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CountProfile((1, 2))  # not descending
-        with pytest.raises(ValueError):
-            CountProfile((2, 0))  # zero part
+class TestProfileParts:
+    """A profile is the tuple of its parts: every function of it is
+    symmetric in them, and a zero part adds a factor of 1 and no pairs."""
 
-    def test_fits_capacity(self):
-        p = Params(2, 1, 3)
-        assert CountProfile((2, 1)).fits_capacity(p)
-        assert not CountProfile((3,)).fits_capacity(p)
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_order_and_zero_parts_do_not_matter(self, data):
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(0, n - 1))
+        q = data.draw(st.integers(1, min(8, 1 << n)))
+        p = Params(n, m, q)
+        replies = data.draw(
+            st.lists(st.integers(0, p.num_replies - 1), min_size=q, max_size=q)
+        )
+        (parts,) = row_parts(np.bincount(replies, minlength=p.num_replies)[None, :])
+        zeros = (0,) * data.draw(st.integers(0, 3))
+        for other in (data.draw(st.permutations(parts)),
+                      data.draw(st.permutations(parts + zeros))):
+            for fn in (likelihood_ratio, collision_excess_of_profile):
+                assert fn(tuple(other), p) == fn(parts, p), (fn.__name__, parts, other)
 
 
 class TestCollisionExcess:
@@ -112,7 +123,7 @@ class TestCollisionExcess:
     ])
     def test_examples(self, params, row, want):
         (parts,) = row_parts([row])
-        assert collision_excess_of_profile(CountProfile(parts), params) == want
+        assert collision_excess_of_profile(parts, params) == want
         assert collision_excesses(count_rows(row), params).tolist() == [float(want)]
 
     @given(st.data())
@@ -128,7 +139,7 @@ class TestCollisionExcess:
         )
         counts = np.bincount(t, minlength=p.num_replies)[None, :]
         (parts,) = row_parts(counts)
-        excess = collision_excess_of_profile(CountProfile(parts), p)
+        excess = collision_excess_of_profile(parts, p)
         pairs = sum(math.comb(d, 2) for d in parts)
         assert excess + Fraction(math.comb(q, 2), p.num_replies) == pairs
         assert math.isclose(collision_excesses(counts, p)[0], excess, abs_tol=1e-12)
@@ -137,13 +148,13 @@ class TestCollisionExcess:
 class TestLikelihoodRatio:
     def test_examples(self):
         p = Params(2, 1, 2)
-        assert likelihood_ratio(CountProfile((1, 1)), p) == Fraction(4, 3)
-        assert likelihood_ratio(CountProfile((2,)), p) == Fraction(2, 3)
-        assert likelihood_ratio(CountProfile((3,)), Params(2, 1, 3)) == 0
+        assert likelihood_ratio((1, 1), p) == Fraction(4, 3)
+        assert likelihood_ratio((2,), p) == Fraction(2, 3)
+        assert likelihood_ratio((3,), Params(2, 1, 3)) == 0
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
-            likelihood_ratio(CountProfile((1,)), Params(2, 1, 2))
+            likelihood_ratio((1,), Params(2, 1, 2))
 
     def test_log_rows(self):
         p = Params(2, 1, 2)
@@ -183,7 +194,7 @@ class TestLikelihoodRatio:
         # probabilities R/|set| must sum to exactly 1
         p = Params(n, m, q)
         total = sum(
-            Fraction(count, p.num_replies**q) * likelihood_ratio(CountProfile(parts), p)
+            Fraction(count, p.num_replies**q) * likelihood_ratio(parts, p)
             for parts, count in enumerate_profiles(p)
         )
         assert total == 1
@@ -231,7 +242,7 @@ class TestSamplers:
     @pytest.mark.parametrize("sampler,weight", [
         (sample_function_count_matrix, lambda parts, p: 1),
         (sample_permutation_count_matrix,
-         lambda parts, p: likelihood_ratio(CountProfile(parts), p)),
+         lambda parts, p: likelihood_ratio(parts, p)),
     ], ids=["function", "permutation"])
     def test_profile_distribution(self, sampler, weight):
         # empirical profile frequencies match the uniform probability of the

@@ -34,7 +34,6 @@ from truncperm.exact import (
     mc_advantage_sharded,
     transcript_tallies,
 )
-from truncperm.core import CountProfile
 from truncperm.game import COLLISION_THRESHOLD, Rule, rule_advantage_exact
 
 from conftest import count_partitions
@@ -398,17 +397,16 @@ class TestIntegerBounds:
         # sum of probability * (R - 1) over the profiles accepts(profile, R) takes
         total = Fraction(0)
         for parts, count in enumerate_profiles(p):
-            profile = CountProfile(parts)
-            ratio = likelihood_ratio(profile, p)
-            if accepts(profile, ratio):
+            ratio = likelihood_ratio(parts, p)
+            if accepts(parts, ratio):
                 total += Fraction(count, p.num_replies**p.q) * (ratio - 1)
         return total
 
     @given(small_cells(), st.integers(-2, 70))
     @settings(max_examples=200, deadline=None)
     def test_sides_and_pair_bounds(self, p, max_pairs):
-        def pairs(profile):
-            return sum(comb(d, 2) for d in profile.parts)
+        def pairs(parts):
+            return sum(comb(d, 2) for d in parts)
 
         sides = {VIA_R_GREATER: lambda r: r > 1, VIA_R_LESS: lambda r: r < 1,
                  None: lambda r: True}
@@ -423,7 +421,7 @@ class TestIntegerBounds:
     def ties(p):
         """Every threshold t at which some profile has pairs - C(q,2)/b == t
         exactly (a float, as the mean is dyadic)."""
-        return sorted({float(collision_excess_of_profile(CountProfile(parts), p))
+        return sorted({float(collision_excess_of_profile(parts, p))
                        for parts, _ in enumerate_profiles(p)})
 
     @given(st.data())

@@ -6,10 +6,9 @@ import pytest
 
 import truncperm.core
 from truncperm.core import (
-    CountProfile,
     Params,
-    all_distinct_prob,
     collision_excess_of_profile,
+    log_all_distinct,
     log_all_distinct_table,
     log_likelihood_ratios,
 )
@@ -128,7 +127,7 @@ class TestRuleAdvantageExact:
                 cut = collision_rule_threshold(p)
                 rules[Rule(COLLISION_THRESHOLD, cut)] = lambda r, x, cut=cut: x > cut
             terms = [(Fraction(count, p.num_replies**p.q) * (r - 1), r,
-                      collision_excess_of_profile(CountProfile(parts), p))
+                      collision_excess_of_profile(parts, p))
                      for parts, count, r in profiles]
             for rule, accepts in rules.items():
                 expected = abs(sum((w for w, r, x in terms if accepts(r, x)), Fraction(0)))
@@ -149,7 +148,7 @@ class TestFloatClassifier:
                 excess = num - math.perm(p.domain_size, q)
                 signs.append((excess > 0) - (excess < 0))
             table = log_all_distinct_table(q, cap)
-            log_denom = all_distinct_prob(q, p.domain_size, mode="log")
+            log_denom = log_all_distinct(q, p.domain_size)
             log_ratio = table[counts].sum(axis=1) - log_denom
             assert np.sign(log_ratio).tolist() == signs, p
             assert _accept_counts(optimal_rule(), counts, p) == signs.count(1), p

@@ -121,7 +121,6 @@ class TestGenerateStream:
         cfg = StreamConfig(8, 4, 256)
         sink = io.BytesIO()
         assert generate_stream(perm, cfg, sink) == 128  # 256 * 4 bits
-        assert (256 * (8 - 4) + 7) // 8 == 128
 
     def test_bit_packing_round_trip(self):
         perm = ExplicitPermutation(10, seed=7)
@@ -168,12 +167,12 @@ class TestGenerateStream:
         hits_perm = _accept_counts(optimal_rule(), counts, p)
         # uniform-arm acceptance probability, exactly
         from truncperm.exact import enumerate_profiles
-        from truncperm.core import CountProfile, likelihood_ratio
+        from truncperm.core import likelihood_ratio
 
         accept_fun = sum(
             float(Fraction(count, p.num_replies**p.q))
             for parts, count in enumerate_profiles(p)
-            if likelihood_ratio(CountProfile(parts), p) > 1
+            if likelihood_ratio(parts, p) > 1
         )
         gap = hits_perm / trials - accept_fun
         se = math.sqrt(0.25 / trials)
@@ -382,10 +381,24 @@ class TestBalanceCheck:
             balance_check(FeistelPermutation(26, b"k"), 2)
 
 
-class TestMarginsAndLengths:
-    def test_headline_stream_length(self):
-        n, m, q = 128, 64, 2**64
-        assert (q * (n - m) + 7) // 8 == 2**67  # bit-packed bytes, rounded up
+class TestStreamLength:
+    @pytest.fixture(scope="class", params=["explicit", "feistel"])
+    def perm(self, request):
+        if request.param == "explicit":
+            return ExplicitPermutation(18, seed=4)
+        return FeistelPermutation(18, b"len")
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 13])
+    def test_bytes_written(self, perm, width):
+        # count * width bits rounded up to whole bytes when bit-packed, and
+        # ceil(width / 8) whole bytes per symbol when byte-packed; the last
+        # two counts end on either side of a block boundary
+        for count in (0, 1, 7, 8, BLOCK - 1, BLOCK + 1):
+            for packing, want in (("bit", (count * width + 7) // 8),
+                                  ("byte", count * ((width + 7) // 8))):
+                cfg = StreamConfig(18, 18 - width, count, packing=packing)
+                sink = io.BytesIO()
+                assert generate_stream(perm, cfg, sink) == len(sink.getvalue()) == want
 
 
 class TestBenchAndMetadata:
