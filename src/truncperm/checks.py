@@ -23,9 +23,9 @@ from .core import (
     log_all_distinct,
     log_all_distinct_table,
 )
-from .exact import _partitions, enumerate_profiles
+from .exact import enumerate_profiles
 from .game import collision_rule_threshold
-from .moments import _sample_excess, pair_collision_moments
+from .moments import pair_collision_moments, sample_excess
 
 # tolerance for float comparisons of quantities that can meet with equality
 # (e.g. both sides 0 at k = 1)
@@ -73,9 +73,6 @@ class CheckResult:
     worst_slack: float
     violations: tuple[Witness, ...] = ()  # the worst failing case of each cell
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     @property
     def worst_witness(self) -> Witness | None:
         return min(self.violations, key=lambda w: w.slack, default=None)
@@ -97,15 +94,14 @@ def _result(name, slacks, cases, violations=()) -> CheckResult:
 
 def _alpha_grid(name, divisor, slack_of) -> CheckResult:
     """One distinct-probability check over ALPHAS: for each alpha, k = 1 ..
-    top with top = min(K_MAX, alpha // divisor) (skipped if 0), and
+    top with top = min(K_MAX, alpha // divisor) (at least 1: the smallest
+    alpha is 2 and no divisor is over 2), and
     slack_of(alpha, k, table) the slack array, where k is a float array and
     table = log_all_distinct_table(top, alpha)."""
     slacks = []
     cases = 0
     for alpha in ALPHAS:
         top = min(K_MAX, alpha // divisor)
-        if top < 1:
-            continue
         k = np.arange(1, top + 1, dtype=np.float64)
         slacks.append(np.min(slack_of(alpha, k, log_all_distinct_table(top, alpha))))
         cases += top
@@ -179,7 +175,9 @@ def check_profile_score_maximizer() -> CheckResult:
         for q in range(1, min(8, b * cap) + 1):
             params = Params(n, m, q)
             best = profile_score(_balanced_partition(q, b), params)
-            for parts, _ in _partitions(q, min(q, cap), b):
+            for parts, _ in enumerate_profiles(params):
+                if max(parts) > cap:
+                    continue
                 cases += 1
                 slacks.append(best - profile_score(parts, params))
             if q < b:
@@ -267,14 +265,14 @@ def check_witness_poly_expectation() -> CheckResult:
     slacks = []
     for n, m, q in ((10, 9, 512), (12, 10, 2048)):
         b = 1 << (n - m)
-        mom = pair_collision_moments(q, b)
+        m1, m2, m3, m4 = pair_collision_moments(q, b)
         s2 = b / (q * (q - 1.0))  # square of the normalization scale
         s = math.sqrt(s2)
         expectation = (
-            -(s2**2) * float(mom.m4)
-            + (s2 * s) * float(mom.m3) / 10.0
-            + 75.0 / 4.0 * s2 * float(mom.m2)
-            + 235.0 / 8.0 * s * float(mom.m1)
+            -(s2**2) * float(m4)
+            + (s2 * s) * float(m3) / 10.0
+            + 75.0 / 4.0 * s2 * float(m2)
+            + 235.0 / 8.0 * s * float(m1)
             - 25.0 / 8.0
         )
         slacks.append(expectation - 0.5)
@@ -288,7 +286,7 @@ def check_fourth_moment() -> CheckResult:
     for p in FOURTH_MOMENT_CELLS:
         q, b = p.q, p.num_replies
         bound = Fraction(q * q * (q - 1) ** 2, b * b)
-        slacks.append(float(bound - pair_collision_moments(q, b).m4))
+        slacks.append(float(bound - pair_collision_moments(q, b)[3]))
     return _result("fourth_moment_bound", slacks, len(slacks))
 
 
@@ -297,7 +295,7 @@ def check_tail_probability(rng) -> CheckResult:
     from `rng`, the collision excess exceeds the collision rule's cutoff
     (`collision_rule_threshold`) with probability > 1/400, by a
     4-standard-error margin."""
-    x = _sample_excess(TAIL_CELL, TAIL_TRIALS, rng)
+    x = sample_excess(TAIL_CELL, TAIL_TRIALS, rng)
     hits = float(np.mean(x > collision_rule_threshold(TAIL_CELL)))
     se = math.sqrt(max(hits * (1.0 - hits), 1e-12) / TAIL_TRIALS)
     return _result("collision_tail_probability", [hits - 4.0 * se - 1.0 / 400.0], 1)

@@ -125,8 +125,6 @@ def _sweep(args, cell_fn):
 
 
 def _emit(rows: list[dict], args) -> None:
-    if not rows:
-        return
     if args.format == "json":
         text = json.dumps(rows, indent=2, default=str) + "\n"
     else:
@@ -248,35 +246,32 @@ def moments_cell(args, p: Params):
     ok = True
     closed = pair_collision_moments(p.q, p.num_replies)
     fields = {
-        "m1": float(closed.m1),
-        "m2": float(closed.m2),
-        "m3": float(closed.m3),
-        "m4": float(closed.m4),
-        "m2_exact": _frac(closed.m2),
-        "m4_exact": _frac(closed.m4),
+        "m1": float(closed[0]),
+        "m2": float(closed[1]),
+        "m3": float(closed[2]),
+        "m4": float(closed[3]),
+        "m2_exact": _frac(closed[1]),
+        "m4_exact": _frac(closed[3]),
         "brute_matches": "",
     }
-    exact = (closed.m1, closed.m2, closed.m3, closed.m4)
-    means = None  # E x**k for k = 1..8 over the profiles
+    means = None  # E x**k for k = 1..POWERS over the profiles
     try:
-        means = profile_power_means(p, 8)
-        fields["brute_matches"] = ok = tuple(means[:4]) == exact
+        means = profile_power_means(p)
+        fields["brute_matches"] = ok = means[:4] == closed
     except EnumerationLimitError:
         pass  # over the profile ceiling: the closed form stays unchecked
     if args.trials >= 2:
-        emp = moments_empirical(p, args.trials, make_rng(args.seed))
+        emp, ses = moments_empirical(p, args.trials, make_rng(args.seed))
         # each power's standard error from the exact moments where the
         # profile sums ran, else the sampled one
         if means:
             ses = power_standard_errors(means, args.trials)
-        else:
-            ses = (emp.se1, emp.se2, emp.se3, emp.se4)
         within = all(
             abs(e - float(c)) <= 4.0 * se + 1e-12
-            for e, c, se in zip((emp.m1, emp.m2, emp.m3, emp.m4), exact, ses)
+            for e, c, se in zip(emp, closed, ses)
         )
         fields.update(
-            emp_m2=emp.m2, emp_m4=emp.m4, emp_trials=emp.trials,
+            emp_m2=emp[1], emp_m4=emp[3], emp_trials=args.trials,
             empirical_within_4se=within,
         )
         ok &= within
@@ -288,12 +283,10 @@ def _build_rule(args, params: Params) -> Rule:
         return optimal_rule("greater")
     if args.rule == "optimal-less":
         return optimal_rule("less")
-    if args.rule == "collision":
-        try:
-            return Rule(COLLISION_THRESHOLD, collision_rule_threshold(params))
-        except ValueError as exc:  # q = 1: no pairs to threshold
-            raise UsageError(f"--rule collision: {exc}") from exc
-    raise UsageError(f"unknown rule {args.rule!r}")
+    try:  # "collision", the last of argparse's choices
+        return Rule(COLLISION_THRESHOLD, collision_rule_threshold(params))
+    except ValueError as exc:  # q = 1: no pairs to threshold
+        raise UsageError(f"--rule collision: {exc}") from exc
 
 
 def game_cell(args, p: Params):

@@ -14,7 +14,6 @@ All closed forms work for an arbitrary bucket count, not just powers of two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -29,33 +28,13 @@ from .core import (
 )
 from .exact import enumerate_profiles
 
-
-@dataclass(frozen=True)
-class MomentSet:
-    """First four raw moments of the collision-excess statistic (the first is
-    centered, so it doubles as the first central moment)."""
-
-    m1: Fraction
-    m2: Fraction
-    m3: Fraction
-    m4: Fraction
+POWERS = 8  # E x**k for k = 1 .. POWERS in `profile_power_means`
 
 
-@dataclass(frozen=True)
-class EmpiricalMoments:
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    se1: float
-    se2: float
-    se3: float
-    se4: float
-    trials: int
-
-
-def pair_collision_moments(q: int, buckets: int) -> MomentSet:
-    """Closed-form moments for q symbols over `buckets` equiprobable values."""
+def pair_collision_moments(q: int, buckets: int) -> list[Fraction]:
+    """Closed-form E x**k for k = 1 .. 4 of the collision excess x of q
+    symbols over `buckets` equiprobable values; x is centered (E x = 0), so
+    these are its central moments too."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if buckets < 2:
@@ -68,34 +47,34 @@ def pair_collision_moments(q: int, buckets: int) -> MomentSet:
         + 54 * comb(q, 3) * p**2 * (1 - p) * (1 - Fraction(5, 3) * p)
         + comb(q, 2) * p * (1 - p) * (1 - 3 * p + 3 * p**2)
     )
-    return MomentSet(Fraction(0), m2, m3, m4)
+    return [Fraction(0), m2, m3, m4]
 
 
-def _profile_moments(weights, q: int, buckets: int, powers: int) -> list[Fraction]:
-    """Averages of the statistic's first `powers` powers over (parts, count)
+def _profile_moments(weights, q: int, buckets: int) -> list[Fraction]:
+    """Averages of the statistic's first POWERS powers over (parts, count)
     pairs: each profile's pairs - C(q, 2)/buckets, weighted by its number of
     transcripts out of buckets**q.  The sums run on integers,
     sum count * (buckets * pairs - C(q, 2))**k, each divided once at the end
     by buckets**(q + k)."""
     top = comb(q, 2)
-    sums = [0] * powers
+    sums = [0] * POWERS
     for parts, count in weights:
         x = buckets * sum(comb(d, 2) for d in parts) - top
         term = count
-        for k in range(powers):
+        for k in range(POWERS):
             term *= x
             sums[k] += term
     return [Fraction(s, buckets ** (q + k)) for k, s in enumerate(sums, 1)]
 
 
-def profile_power_means(params: Params, powers: int) -> list[Fraction]:
-    """E x**k for k = 1 .. `powers` of the collision excess x, exactly, over
+def profile_power_means(params: Params) -> list[Fraction]:
+    """E x**k for k = 1 .. POWERS of the collision excess x, exactly, over
     the profile weights of `enumerate_profiles` (closed-form transcript
     counts), so a cell costs one term per partition of q rather than per
     transcript; the first four equal `pair_collision_moments`.  Refused
     (EnumerationLimitError) when those partitions number over
     PROFILE_CEILING."""
-    return _profile_moments(enumerate_profiles(params), params.q, params.num_replies, powers)
+    return _profile_moments(enumerate_profiles(params), params.q, params.num_replies)
 
 
 def power_standard_errors(means: list[Fraction], trials: int) -> list[float]:
@@ -108,7 +87,7 @@ def power_standard_errors(means: list[Fraction], trials: int) -> list[float]:
     ]
 
 
-def _sample_excess(
+def sample_excess(
     params: Params, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Collision-excess values of `trials` uniform transcripts, via their
@@ -122,14 +101,14 @@ def _sample_excess(
 
 def moments_empirical(
     params: Params, trials: int, rng: np.random.Generator
-) -> EmpiricalMoments:
-    """Sample moments of the collision excess with the standard errors of the
-    sample means."""
+) -> tuple[list[float], list[float]]:
+    """Sample means of x**k for k = 1 .. 4 of the collision excess x, and
+    their standard errors."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    x = _sample_excess(params, trials, rng)
+    x = sample_excess(params, trials, rng)
     powers = [x, x**2, x**3, x**4]
     means = [float(p.mean()) for p in powers]
     ses = [float(p.std(ddof=1) / math.sqrt(trials)) for p in powers]
-    return EmpiricalMoments(*means, *ses, trials=trials)
+    return means, ses
 

@@ -4,7 +4,7 @@ import pytest
 
 from truncperm.core import Params, likelihood_ratio
 from truncperm.exact import _partition_counts, enumerate_profiles, transcript_tallies
-from truncperm.moments import MomentSet, _profile_moments
+from truncperm.moments import _profile_moments
 
 
 def count_partitions(total, max_part, max_parts):
@@ -15,10 +15,10 @@ def count_partitions(total, max_part, max_parts):
 
 
 def pair_collision_moments_brute(q, buckets):
-    """Exhaustive oracle of the closed-form moments: the moment sum over the
-    profile weights that `transcript_tallies` finds by listing every
-    transcript (at most TRANSCRIPT_CEILING of them)."""
-    return MomentSet(*_profile_moments(transcript_tallies(q, buckets).items(), q, buckets, 4))
+    """Exhaustive oracle of the closed-form moments: the first four of the
+    moment sum over the profile weights that `transcript_tallies` finds by
+    listing every transcript (at most TRANSCRIPT_CEILING of them)."""
+    return _profile_moments(transcript_tallies(q, buckets).items(), q, buckets)[:4]
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,11 @@ PARAMETERS = {
     core.likelihood_ratio: ["parts", "params"],
     core.collision_excess_of_profile: ["parts", "params"],
     checks.profile_score: ["parts", "params"],
+    moments.pair_collision_moments: ["q", "buckets"],
+    moments.profile_power_means: ["params"],
+    moments.moments_empirical: ["params", "trials", "rng"],
+    moments.sample_excess: ["params", "trials", "rng"],
+    moments.power_standard_errors: ["means", "trials"],
 }
 
 
@@ -122,6 +127,21 @@ def _scan(path):
 def test_no_unused_import(path):
     _, imported, loaded, _ = _scan(path)
     assert {name: line for name, line in imported.items() if name not in loaded} == {}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_import_from_a_sibling(path):
+    # a module of the package imports no underscore name of another one
+    # (`from .x import _y`); dunder names such as __version__ are public
+    private = {
+        f"{node.module or '.'}.{alias.name}": node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("truncperm"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    }
+    assert private == {}
 
 
 def test_every_name_has_a_reader():

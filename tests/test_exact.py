@@ -188,7 +188,7 @@ class TestEnumerateProfiles:
     @pytest.mark.parametrize("call", [
         "exact_advantage(p)",
         "rule_advantage_exact(p, optimal_rule())",
-        "profile_power_means(p, 4)",
+        "profile_power_means(p)",
     ])
     def test_refused_in_milliseconds_at_any_q(self, call):
         # the price stops at its first count over the ceiling, here the
