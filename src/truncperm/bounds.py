@@ -192,9 +192,6 @@ def advantage_envelope(n: int, m: int, q: int) -> Scalar:
 
 @dataclass(frozen=True)
 class BoundReport:
-    n: int
-    m: int
-    q: int
     birthday_exact: Fraction | None  # m = 0 only, and None past math.perm
     birthday_upper: Fraction
     hall_lower_ref: FlaggedBound
@@ -215,9 +212,6 @@ def bound_report(n: int, m: int, q: int) -> BoundReport:
         raise ValueError("q must be >= 1")
     stam = stam_upper(n, m, q) if q - 1 < (1 << n) else None
     return BoundReport(
-        n=n,
-        m=m,
-        q=q,
         birthday_exact=birthday_exact(n, q) if m == 0 else None,
         birthday_upper=birthday_upper(n, q),
         hall_lower_ref=hall_lower_reference(n, m, q),

@@ -185,9 +185,10 @@ def check_profile_score_maximizer() -> CheckResult:
     return _result("profile_score_maximizer", slacks, cases)
 
 
-def check_likelihood_exponential_bound(half_domain_only: bool = False) -> CheckResult:
+def check_likelihood_exponential_bound() -> tuple[CheckResult, CheckResult]:
     """For n <= 4 and power-of-two q: the likelihood ratio never exceeds
-    exp(q**2 / 2**(n+m+1) - excess / 2**m).
+    exp(q**2 / 2**(n+m+1) - excess / 2**m).  Returns the result over the
+    whole grid, then the one over its cells with q <= 2**(n-1).
 
     The ratio and the collision excess are both functions of the count
     profile, so checking every profile covers every transcript.
@@ -197,20 +198,16 @@ def check_likelihood_exponential_bound(half_domain_only: bool = False) -> CheckR
     m >= 1 (worst case m = 1, ratio 3443.98 vs bound 1808.04).  m = 0 holds
     there (ratio 16**16/16! ~ 881,658 vs bound e**15.5 ~ 5.39e6), and the same
     pattern holds at n = 5, 6 with q = 2**n.  The doubling step the bound rests
-    on needs q <= 2**(n-1).  Pass ``half_domain_only=True`` to restrict to that
-    provable regime, where the check passes.
+    on needs q <= 2**(n-1), the provable regime of the second result, where
+    the check passes.
 
     Each violated cell is reported as its worst profile in ``violations``.
     """
-    slacks = []
-    cases = 0
-    violations = []
+    full, half = ([], []), ([], [])  # (slacks, violations) of each result
     for n in range(1, 5):
         for m in range(n):
             for q in (2, 4, 8, 16):
                 if q > (1 << n):
-                    continue
-                if half_domain_only and q > (1 << (n - 1)):
                     continue
                 params = Params(n, m, q)
                 cap = params.bucket_capacity
@@ -222,15 +219,16 @@ def check_likelihood_exponential_bound(half_domain_only: bool = False) -> CheckR
                         q * q / 2 ** (n + m + 1) - float(x) / cap
                     )
                     cell.append(Witness(n, m, q, parts, float(r), bound))
-                cases += len(cell)
-                slacks.extend(w.slack for w in cell)
                 worst = min(cell, key=lambda w: w.slack)
-                if worst.slack < -_EPS:
-                    violations.append(worst)
+                for slacks, violations in (full, half) if q <= 1 << (n - 1) else (full,):
+                    slacks.extend(w.slack for w in cell)  # one case per profile
+                    if worst.slack < -_EPS:
+                        violations.append(worst)
     name = "likelihood_exponential_bound"
-    if half_domain_only:
-        name += "_half_domain"
-    return _result(name, slacks, cases, violations)
+    return (
+        _result(name, full[0], len(full[0]), full[1]),
+        _result(name + "_half_domain", half[0], len(half[0]), half[1]),
+    )
 
 
 def tail_witness_poly(x):
@@ -310,8 +308,7 @@ def run_lemma_suite(rng) -> list[CheckResult]:
         check_distinct_prob_lower(),
         check_doubling(),
         check_profile_score_maximizer(),
-        check_likelihood_exponential_bound(),
-        check_likelihood_exponential_bound(half_domain_only=True),
+        *check_likelihood_exponential_bound(),
         check_witness_poly(),
         check_witness_poly_expectation(),
         check_fourth_moment(),

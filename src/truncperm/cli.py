@@ -106,10 +106,12 @@ def _clock() -> tuple[float, float]:
 
 
 def _row(args, fields: dict, t0: tuple[float, float]) -> dict:
-    """A report row: the fields, the provenance, then the TIMING_COLUMNS,
-    the CPU and wall seconds since t0 (a `_clock()` reading)."""
+    """A report row: the fields, a None one as an empty cell, the provenance,
+    then the TIMING_COLUMNS, the CPU and wall seconds since t0 (a `_clock()`
+    reading)."""
     spent = (round(now - then, 6) for now, then in zip(_clock(), t0))
-    return {**fields, **_provenance(args), **dict(zip(TIMING_COLUMNS, spent))}
+    shown = {key: "" if value is None else value for key, value in fields.items()}
+    return {**shown, **_provenance(args), **dict(zip(TIMING_COLUMNS, spent))}
 
 
 def _sweep(args, cell_fn):
@@ -125,16 +127,13 @@ def _sweep(args, cell_fn):
 
 
 def _emit(rows: list[dict], args) -> None:
+    """The rows as JSON or as CSV; every row of a command has the first
+    row's columns in its order, so that row gives the header."""
     if args.format == "json":
-        text = json.dumps(rows, indent=2, default=str) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     else:
-        fieldnames: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in fieldnames:
-                    fieldnames.append(key)
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
+        writer = csv.DictWriter(buf, fieldnames=rows[0])
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
@@ -196,7 +195,7 @@ def exact_cell(args, p: Params):
     fields = {
         "advantage": float(greater.value),
         "advantage_exact": _frac(greater.value),
-        "identity": greater.identity,
+        "identity": VIA_R_GREATER,
         "profiles": greater.profiles_enumerated,
         "profiles_walked": greater.profiles_walked,
         "dual_identity_ok": dual_ok,
@@ -222,7 +221,7 @@ def bounds_cell(args, p: Params):
         "gg_upper": rep.gg_upper.value,
         "gg_branch": rep.gg_upper.branch,
         "gg_valid": rep.gg_upper.valid,
-        "stam_full": rep.stam_full if rep.stam_full is not None else "",
+        "stam_full": rep.stam_full,
         "stam_simplified": float_or_inf(rep.stam_simplified.value),
         "stam_simplified_exact": _frac(rep.stam_simplified.value),
         "stam_simplified_valid": rep.stam_simplified.valid,
@@ -237,7 +236,7 @@ def mc_cell(args, p: Params):
     fields = {
         "trials": est.trials,
         "estimate": est.mean,
-        "std_err": est.std_err if est.std_err is not None else "",
+        "std_err": est.std_err,
     }
     return fields, True
 
@@ -294,12 +293,12 @@ def game_cell(args, p: Params):
     res = play_game_sharded(p, rule, args.trials, args.seed)
     fields = {
         "rule": rule.kind,
-        "threshold": rule.threshold if rule.threshold is not None else "",
-        "trials_per_arm": res.trials_per_arm,
+        "threshold": rule.threshold,
+        "trials_per_arm": args.trials,
         "accept_rate_function": res.accept_rate_function,
         "accept_rate_permutation": res.accept_rate_permutation,
         "empirical_advantage": res.empirical_advantage,
-        "std_err": res.standard_error if res.standard_error is not None else "",
+        "std_err": res.standard_error,
         "exact_advantage": "",
         "within_4se": "",
         "exact_reason": "",
@@ -381,7 +380,7 @@ def cmd_stream(args):
     out = args.out or "stream.bin"
     with open(out, "wb") as fh:
         written = generate_stream(perm, cfg, fh)
-    write_metadata(out + ".json", perm, cfg, seed=args.seed)
+    write_metadata(out + ".json", perm, cfg, args.seed)
     args.out = None  # binary went to --out; the report row goes to stdout
     fields = {
         "n": args.n,

@@ -45,8 +45,7 @@ class EnumerationLimitError(ValueError):
 @dataclass(frozen=True)
 class AdvantageResult:
     value: Fraction
-    identity: str
-    profiles_enumerated: int  # closed-form count of the identity's profiles
+    profiles_enumerated: int  # closed-form count of the summed side's profiles
     profiles_walked: int  # profiles whose ratio the walk evaluated
 
 
@@ -296,7 +295,7 @@ def exact_advantage(params: Params, identity: str = VIA_R_GREATER) -> AdvantageR
     value, profiles, walked = advantage_sum(params, identity)
     if identity == VIA_R_LESS:
         value = -value
-    return AdvantageResult(value, identity, profiles, walked)
+    return AdvantageResult(value, profiles, walked)
 
 
 def transcript_tallies(q: int, buckets: int) -> dict[tuple[int, ...], int]:
@@ -327,7 +326,7 @@ def brute_force_advantage(params: Params) -> AdvantageResult:
         ratio = likelihood_ratio(parts, params)
         if ratio > 1:
             total += Fraction(count, total_transcripts) * (ratio - 1)
-    return AdvantageResult(total, VIA_R_GREATER, len(tallies), len(tallies))
+    return AdvantageResult(total, len(tallies), len(tallies))
 
 
 def mc_advantage(

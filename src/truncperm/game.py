@@ -96,7 +96,6 @@ def rule_advantage_exact(params: Params, rule: Rule) -> Fraction:
 
 @dataclass(frozen=True)
 class GameResult:
-    trials_per_arm: int
     accept_rate_function: float
     accept_rate_permutation: float
     empirical_advantage: float
@@ -145,7 +144,7 @@ def _result_from_accepts(acc_fun: int, acc_perm: int, trials: int) -> GameResult
     if trials > 1:
         held = (min(max(a, 1), trials - 1) / trials for a in (acc_fun, acc_perm))
         se = math.sqrt(sum(r * (1.0 - r) / trials for r in held))
-    return GameResult(trials, r_fun, r_perm, abs(r_perm - r_fun), se)
+    return GameResult(r_fun, r_perm, abs(r_perm - r_fun), se)
 
 
 def play_game_sharded(

@@ -242,9 +242,9 @@ def throughput_bench(make_perm, cfg: StreamConfig, repetitions: int = 5) -> Benc
     )
 
 
-def stream_metadata(perm, cfg: StreamConfig, seed=None) -> dict:
-    """JSON-serializable sidecar describing a generated stream."""
-    return {
+def write_metadata(path, perm, cfg: StreamConfig, seed: int) -> None:
+    """Write the JSON sidecar describing a generated stream to `path`."""
+    metadata = {
         "n": cfg.n,
         "m": cfg.m,
         "start_counter": cfg.start_counter,
@@ -257,9 +257,6 @@ def stream_metadata(perm, cfg: StreamConfig, seed=None) -> dict:
             "uniformly random; the Feistel demo backend is not"
         ),
     }
-
-
-def write_metadata(path, perm, cfg: StreamConfig, seed=None) -> None:
     with open(path, "w") as fh:
-        json.dump(stream_metadata(perm, cfg, seed), fh, indent=2)
+        json.dump(metadata, fh, indent=2)
         fh.write("\n")

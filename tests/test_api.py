@@ -1,10 +1,12 @@
-"""The package's surface: the names it exports, and the parameters of the
-exact engine, the shard runner, the lemma checks and the bound report.  Each
-parameter is read by a CLI path or a library route, and none exists only for
-tests to set; no module imports a name it does not read, and every name the
-package defines is read somewhere in it."""
+"""The package's surface: the names it exports, the parameters of the exact
+engine, the shard runner, the lemma checks, the bound report and the stream
+sidecar, and the fields of the route results.  Each parameter is read by a CLI
+path or a library route, and none exists only for tests to set; no result
+field repeats an argument; no module imports a name it does not read, and
+every name the package defines is read somewhere in it."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -36,7 +38,7 @@ PARAMETERS = {
     checks.check_distinct_prob_lower: [],
     checks.check_doubling: [],
     checks.check_profile_score_maximizer: [],
-    checks.check_likelihood_exponential_bound: ["half_domain_only"],
+    checks.check_likelihood_exponential_bound: [],
     checks.check_witness_poly: [],
     checks.check_witness_poly_expectation: [],
     checks.check_fourth_moment: [],
@@ -55,12 +57,33 @@ PARAMETERS = {
     moments.moments_empirical: ["params", "trials", "rng"],
     moments.sample_excess: ["params", "trials", "rng"],
     moments.power_standard_errors: ["means", "trials"],
+    stream.write_metadata: ["path", "perm", "cfg", "seed"],
 }
 
 
 @pytest.mark.parametrize("fn", PARAMETERS, ids=lambda fn: fn.__name__)
 def test_takes_only_the_parameters_it_reads(fn):
     assert list(inspect.signature(fn).parameters) == PARAMETERS[fn]
+
+
+# the fields of each route's result: what the route computed, and no
+# argument it was given
+FIELDS = {
+    exact.AdvantageResult: ["value", "profiles_enumerated", "profiles_walked"],
+    game.GameResult: [
+        "accept_rate_function", "accept_rate_permutation", "empirical_advantage",
+        "standard_error",
+    ],
+    bounds.BoundReport: [
+        "birthday_exact", "birthday_upper", "hall_lower_ref", "hall_upper", "bi_upper",
+        "gg_upper", "stam_full", "stam_simplified", "combined_upper", "theta_envelope",
+    ],
+}
+
+
+@pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)
+def test_records_echo_no_argument(record):
+    assert [field.name for field in dataclasses.fields(record)] == FIELDS[record]
 
 
 def test_ceilings_are_fixed():

@@ -211,8 +211,8 @@ def _reference_bounds(n, m, q):
         return {"hall_upper": hall, "bi_upper": n * x, "gg_upper": gg}
 
 
-# cells whose float bounds raised OverflowError, with the bounds that are
-# math.inf there; the others are finite
+# cells whose float bounds raised OverflowError, with the row's columns that
+# read inf there; the others are finite
 FLOAT_RANGE_CELLS = [
     # 2**((n+m)/2) is past the float range, x = 3 / 2**1025 is not
     ((2048, 2, 3), set()),
@@ -223,6 +223,16 @@ FLOAT_RANGE_CELLS = [
     # x**3 = 2**1047 is past the float range (hall_upper is about 2**696), and
     # q = 2**699 past math.perm
     ((700, 0, 2**699), {"hall_upper"}),
+    # 2**((n-7m)/2) = 2**1046.5 is past the float range: hall_upper is its
+    # first term alone
+    ((2100, 1, 3), set()),
+    # n + m is odd and 2**((n+m)/2) past the float range: x falls back to
+    # q / 2**1025 / sqrt(2)
+    ((2049, 2, 3), set()),
+    # q = 2**1100 is past the float range, so x = 2**549.5 comes from the
+    # fallback; x**3 is past it too, as are hall_lower_ref = 2**1099 and
+    # stam_full
+    ((1100, 1, 2**1100), {"hall_upper", "gg_upper", "hall_lower_ref", "stam_full"}),
 ]
 
 
@@ -233,7 +243,9 @@ class TestFloatRange:
         rep = bound_report(*cell)
         got = {"hall_upper": rep.hall_upper, "bi_upper": rep.bi_upper.value,
                "gg_upper": rep.gg_upper.value}
-        assert {name for name, value in got.items() if value == math.inf} == infinite
+        assert {name for name, value in got.items() if value == math.inf} == (
+            infinite & got.keys()
+        )
         reference = _reference_bounds(*cell)
         for name in got.keys() - infinite:
             assert math.isclose(got[name], float(reference[name]), rel_tol=1e-6), name
@@ -243,5 +255,5 @@ class TestFloatRange:
         out, err = capsys.readouterr()
         assert err == ""
         row = next(csv.DictReader(io.StringIO(out)))
-        assert {name for name in got if row[name] == "inf"} == infinite
+        assert {name for name, value in row.items() if value == "inf"} == infinite
         assert row["birthday_exact"] == ""

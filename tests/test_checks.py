@@ -144,19 +144,19 @@ class TestLikelihoodExponentialBound:
     def test_fails_on_stated_grid(self):
         # the inequality is numerically false once q reaches the full domain:
         # the balanced profile at n = 4, q = 16 exceeds the bound for every m >= 1
-        res = check_likelihood_exponential_bound()
+        res = check_likelihood_exponential_bound()[0]
         assert not res.passed
         assert res.worst_slack < 0
 
     def test_reports_witness_from_data(self):
-        assert check_likelihood_exponential_bound().detail == (
+        assert check_likelihood_exponential_bound()[0].detail == (
             "worst witness (n, m, q) = (4, 1, 16), profile (2, 2, 2, 2, 2, 2, 2, 2): "
             "R = 3443.98 > bound 1808.04; "
             "violated at (n, m, q) = (4, 1, 16), (4, 2, 16), (4, 3, 16)"
         )
 
     def test_holds_up_to_half_the_domain(self):
-        res = check_likelihood_exponential_bound(half_domain_only=True)
+        res = check_likelihood_exponential_bound()[1]
         assert res.passed and res.cases > 0
         assert res.violations == () and res.detail == ""
 

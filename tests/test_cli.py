@@ -672,6 +672,15 @@ class TestMcCommand:
                           "--trials", "5000", "--seed", "2")
         assert parse_csv(out1)[0]["estimate"] != parse_csv(out2)[0]["estimate"]
 
+    def test_single_trial_has_no_standard_error(self, capsys):
+        argv = ["mc", "--n", "4", "--m", "1", "--q", "4", "--trials", "1"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert parse_csv(out)[0]["std_err"] == ""
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["std_err"] == ""
+
 
 class TestMomentsCommand:
     def test_brute_and_empirical_agree(self, capsys):
@@ -775,6 +784,30 @@ class TestGameCommand:
         row = parse_csv(out)[0]
         assert row["rule"] == "collision_threshold"
         assert float(row["threshold"]) > 0
+
+
+MIXED_SWEEPS = [
+    # answered from q = 44 to 60, refused from q = 61
+    ["exact", "--n", "12", "--m", "6", "--q-range", "44", "64"],
+    # the exact advantage answered up to q = 60, its ceiling reason from q = 61
+    ["game", "--n", "12", "--m", "6", "--q-range", "56", "64", "--trials", "10"],
+]
+
+
+class TestSweepColumns:
+    @pytest.mark.parametrize("argv", MIXED_SWEEPS, ids=lambda argv: argv[0])
+    def test_every_row_has_the_first_rows_columns(self, capsys, argv):
+        # the CSV header is the first row's: answered and refused rows alike
+        # carry its columns, in its order
+        _, out = run_cli(capsys, *argv, "--format", "json")
+        rows = json.loads(out)
+        assert all(list(row) == list(rows[0]) for row in rows)
+        reasons = [bool(row.get("reason") or row.get("exact_reason")) for row in rows]
+        assert reasons == [False] * (len(rows) - 4) + [True] * 4
+        _, out = run_cli(capsys, *argv)
+        lines = list(csv.reader(io.StringIO(out)))
+        assert lines[0] == list(rows[0])
+        assert [len(line) for line in lines[1:]] == [len(rows[0])] * len(rows)
 
 
 class TestLemmasCommand:
