@@ -66,29 +66,19 @@ class UsageError(Exception):
 
 
 def _cells(args) -> list[tuple[int, int, int]]:
-    """Expand the cell sweep; ranges are inclusive and clipped to validity."""
-    if args.n_range:
-        ns = range(args.n_range[0], args.n_range[1] + 1)
-    elif args.n is not None:
-        ns = [args.n]
-    else:
-        raise UsageError("provide --n or --n-range")
-    cells = []
-    for n in ns:
-        if args.m_range:
-            ms = range(args.m_range[0], min(args.m_range[1], n - 1) + 1)
-        else:
-            ms = [args.m if args.m is not None else 0]
-        for m in ms:
-            if not 0 <= m < n:
-                continue
-            if args.q_range:
-                qs = range(max(args.q_range[0], 1), min(args.q_range[1], 1 << n) + 1)
-            else:
-                qs = [args.q if args.q is not None else 1]
-            for q in qs:
-                if 1 <= q <= (1 << n):
-                    cells.append((n, m, q))
+    """Expand the cell sweep: each axis is one value or an inclusive range
+    LO HI, clipped to 0 <= m < n and 1 <= q <= 2**n."""
+    if args.n is None:
+        raise UsageError("provide --n")
+    for flag, values in (("--n", args.n), ("--m", args.m), ("--q", args.q)):
+        if len(values) > 2:
+            raise UsageError(f"{flag} takes one value or a range LO HI")
+    cells = [
+        (n, m, q)
+        for n in range(args.n[0], args.n[-1] + 1)
+        for m in range(max(args.m[0], 0), min(args.m[-1], n - 1) + 1)
+        for q in range(max(args.q[0], 1), min(args.q[-1], 1 << n) + 1)
+    ]
     if not cells:
         raise UsageError("empty sweep")
     return cells
@@ -183,13 +173,13 @@ def exact_cell(args, p: Params):
     try:
         greater = exact_advantage(p, VIA_R_GREATER)
     except EnumerationLimitError as exc:
-        refused = dict.fromkeys(EXACT_RESULTS, "")
+        refused = dict.fromkeys(EXACT_RESULTS)
         return {**refused, "status": "refused", "reason": f"ceiling: {exc}"}, True
     try:
         dual_ok = greater.value == exact_advantage(p, VIA_R_LESS).value
-        unchecked = ""
+        unchecked = None
     except EnumerationLimitError as exc:
-        dual_ok = ""
+        dual_ok = None
         unchecked = f"dual identity not checked: less side: {exc}"
     dominated = greater.value <= best_known_upper(p.n, p.m, p.q)
     fields = {
@@ -210,7 +200,7 @@ def bounds_cell(args, p: Params):
     rep = bound_report(p.n, p.m, p.q)
     fields = {
         "birthday_exact": (
-            float(rep.birthday_exact) if rep.birthday_exact is not None else ""
+            float(rep.birthday_exact) if rep.birthday_exact is not None else None
         ),
         "birthday_upper": float(rep.birthday_upper),
         "hall_lower_ref": float_or_inf(rep.hall_lower_ref.value),
@@ -234,7 +224,7 @@ def bounds_cell(args, p: Params):
 def mc_cell(args, p: Params):
     est = mc_advantage_sharded(p, args.trials, args.seed)
     fields = {
-        "trials": est.trials,
+        "trials": args.trials,
         "estimate": est.mean,
         "std_err": est.std_err,
     }
@@ -251,7 +241,7 @@ def moments_cell(args, p: Params):
         "m4": float(closed[3]),
         "m2_exact": _frac(closed[1]),
         "m4_exact": _frac(closed[3]),
-        "brute_matches": "",
+        "brute_matches": None,
     }
     means = None  # E x**k for k = 1..POWERS over the profiles
     try:
@@ -299,9 +289,9 @@ def game_cell(args, p: Params):
         "accept_rate_permutation": res.accept_rate_permutation,
         "empirical_advantage": res.empirical_advantage,
         "std_err": res.standard_error,
-        "exact_advantage": "",
-        "within_4se": "",
-        "exact_reason": "",
+        "exact_advantage": None,
+        "within_4se": None,
+        "exact_reason": None,
     }
     try:
         exact = rule_advantage_exact(p, rule)
@@ -433,12 +423,9 @@ def _int_at_least(low: int):
 # (flags, argparse keywords) of each option group
 OPTION_GROUPS = {
     "cells": (
-        ("--n", dict(type=int)),
-        ("--m", dict(type=int)),
-        ("--q", dict(type=int)),
-        ("--n-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
-        ("--m-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
-        ("--q-range", dict(type=int, nargs=2, metavar=("LO", "HI"))),
+        ("--n", dict(type=int, nargs="+")),
+        ("--m", dict(type=int, nargs="+", default=[0])),
+        ("--q", dict(type=int, nargs="+", default=[1])),
     ),
     "trials": (("--trials", dict(type=_int_at_least(1), default=10**5)),),
     "seed": (("--seed", dict(type=_int_at_least(0), default=0)),),

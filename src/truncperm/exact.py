@@ -53,7 +53,6 @@ class AdvantageResult:
 class MonteCarloEstimate:
     mean: float
     std_err: float | None
-    trials: int
 
 
 def _partitions(
@@ -360,13 +359,10 @@ def mc_advantage(
             draws = rng.integers(0, b, size=q)
             counts = np.unique(draws, return_counts=True)[1]
             log_ratio[i] = log_likelihood_ratios(counts[None, :], params)[0]
-    with np.errstate(invalid="ignore"):
-        ratio = np.exp(log_ratio)
-    ratio = np.nan_to_num(ratio, nan=0.0)
-    values = np.maximum(1.0 - ratio, 0.0)
+    values = np.maximum(1.0 - np.exp(log_ratio), 0.0)
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
-    return MonteCarloEstimate(mean, std_err, trials)
+    return MonteCarloEstimate(mean, std_err)
 
 
 def mc_advantage_sharded(
@@ -376,12 +372,11 @@ def mc_advantage_sharded(
 ) -> MonteCarloEstimate:
     """Sharded `mc_advantage`: deterministic in (seed, trials), for any thread
     count, by fixing the shard layout and merging in shard order."""
-    shots = map_shards(lambda t, rng: mc_advantage(params, t, rng), params, trials, seed)
+    shots = map_shards(lambda t, rng: (t, mc_advantage(params, t, rng)), params, trials, seed)
     # merge sums, not means, so the float result is order-fixed
-    s = math.fsum(e.mean * e.trials for e in shots)
+    s = math.fsum(e.mean * t for t, e in shots)
     ss = math.fsum(
-        ((e.std_err or 0.0) ** 2 * e.trials * (e.trials - 1)) + e.mean**2 * e.trials
-        for e in shots
+        ((e.std_err or 0.0) ** 2 * t * (t - 1)) + e.mean**2 * t for t, e in shots
     )
     mean = s / trials
     if trials > 1:
@@ -389,4 +384,4 @@ def mc_advantage_sharded(
         std_err = math.sqrt(var / trials)
     else:
         std_err = None
-    return MonteCarloEstimate(mean, std_err, trials)
+    return MonteCarloEstimate(mean, std_err)

@@ -70,6 +70,7 @@ def test_takes_only_the_parameters_it_reads(fn):
 # argument it was given
 FIELDS = {
     exact.AdvantageResult: ["value", "profiles_enumerated", "profiles_walked"],
+    exact.MonteCarloEstimate: ["mean", "std_err"],
     game.GameResult: [
         "accept_rate_function", "accept_rate_permutation", "empirical_advantage",
         "standard_error",

@@ -43,7 +43,7 @@ class TestParser:
 
     def test_requires_cell(self, capsys):
         assert main(["exact"]) == 2
-        assert capsys.readouterr() == ("", "error: provide --n or --n-range\n")
+        assert capsys.readouterr() == ("", "error: provide --n\n")
 
     def test_no_arithmetic_mode_option(self, capsys):
         with pytest.raises(SystemExit):
@@ -54,19 +54,16 @@ class TestParser:
     USAGE = ("usage: truncperm [-h] {exact,bounds,mc,moments,game,lemmas,stream,bench}"
              " ...\n")
     GAME_HELP = """\
-usage: truncperm game [-h] [--n N] [--m M] [--q Q] [--n-range LO HI]
-                      [--m-range LO HI] [--q-range LO HI] [--trials TRIALS]
-                      [--seed SEED] [--rule {optimal,optimal-less,collision}]
+usage: truncperm game [-h] [--n N [N ...]] [--m M [M ...]] [--q Q [Q ...]]
+                      [--trials TRIALS] [--seed SEED]
+                      [--rule {optimal,optimal-less,collision}]
                       [--format {csv,json}] [--out OUT]
 
 options:
   -h, --help            show this help message and exit
-  --n N
-  --m M
-  --q Q
-  --n-range LO HI
-  --m-range LO HI
-  --q-range LO HI
+  --n N [N ...]
+  --m M [M ...]
+  --q Q [Q ...]
   --trials TRIALS
   --seed SEED
   --rule {optimal,optimal-less,collision}
@@ -75,18 +72,14 @@ options:
 """
 
     EXACT_HELP = """\
-usage: truncperm exact [-h] [--n N] [--m M] [--q Q] [--n-range LO HI]
-                       [--m-range LO HI] [--q-range LO HI]
+usage: truncperm exact [-h] [--n N [N ...]] [--m M [M ...]] [--q Q [Q ...]]
                        [--format {csv,json}] [--out OUT]
 
 options:
   -h, --help           show this help message and exit
-  --n N
-  --m M
-  --q Q
-  --n-range LO HI
-  --m-range LO HI
-  --q-range LO HI
+  --n N [N ...]
+  --m M [M ...]
+  --q Q [Q ...]
   --format {csv,json}
   --out OUT
 """
@@ -106,7 +99,7 @@ options:
          "'nosuch' (choose from 'exact', 'bounds', 'mc', 'moments', 'game', 'lemmas', "
          "'stream', 'bench')\n"),
         (["exact", "--bogus"], 2, "", USAGE + "truncperm: error: unrecognized arguments: --bogus\n"),
-        (["exact", "--n", "4", "--m", "1", "--q", "3", "extra"], 2, "",
+        (["exact", "extra", "--n", "4", "--m", "1", "--q", "3"], 2, "",
          USAGE + "truncperm: error: unrecognized arguments: extra\n"),
         (["game", "--help"], 0, GAME_HELP, ""),
         (["exact", "-h"], 0, EXACT_HELP, ""),
@@ -143,6 +136,7 @@ options:
 # value(s) to pass with each option of any subcommand
 OPTION_VALUES = {
     "--n": ["8"], "--m": ["4"], "--q": ["16"],
+    # the retired range options, which every subcommand rejects
     "--n-range": ["2", "3"], "--m-range": ["0", "1"], "--q-range": ["1", "4"],
     "--trials": ["100"], "--seed": ["3"],
     "--rule": ["collision"],
@@ -150,7 +144,7 @@ OPTION_VALUES = {
     "--balance": [], "--repetitions": ["2"],
     "--format": ["json"], "--out": ["x.csv"],
 }
-CELLS = ["--n", "--m", "--q", "--n-range", "--m-range", "--q-range"]
+CELLS = ["--n", "--m", "--q"]
 KEYSTREAM = ["--n", "--m", "--count", "--start", "--packing", "--perm"]
 READS = {
     "exact": CELLS,
@@ -206,10 +200,18 @@ class TestOptions:
 
     @pytest.mark.parametrize("command", ["exact", "bounds"])
     def test_unseeded_rows_carry_no_seed_or_workers(self, capsys, command):
-        code, out = run_cli(capsys, command, "--n", "3", "--m", "1", "--q-range", "2", "3")
+        code, out = run_cli(capsys, command, "--n", "3", "--m", "1", "--q", "2", "3")
         assert code == 0
         for row in parse_csv(out):
             assert "seed" not in row and "workers" not in row
+
+    @pytest.mark.parametrize("command", ["exact", "bounds", "mc", "moments", "game"])
+    def test_one_value_is_a_range_one_cell_wide(self, capsys, command):
+        trials = ["--trials", "40"] if "--trials" in READS[command] else []
+        _, one = run_cli(capsys, command, "--n", "4", "--m", "1", "--q", "5", *trials)
+        _, wide = run_cli(capsys, command, "--n", "4", "4", "--m", "1", "1",
+                          "--q", "5", "5", *trials)
+        assert strip_timing(parse_csv(one)) == strip_timing(parse_csv(wide))
 
 
 class TestCountOptions:
@@ -238,8 +240,11 @@ class TestCountOptions:
         ("bench --n 9 --m 4 --perm feistel", "error: Feistel needs an even bit width"),
         ("stream --n 8 --m 9 --balance", "error: need 0 <= m < n, got m=9, n=8"),
         ("stream --m 4", "error: stream needs --n and --m"),
-        ("exact --q 3", "error: provide --n or --n-range"),
+        ("exact --q 3", "error: provide --n"),
         ("mc --n 3 --q 100 --trials 10", "error: empty sweep"),
+        ("exact --n 4 --q 1 2 3", "error: --q takes one value or a range LO HI"),
+        ("bounds --n 2 3 4", "error: --n takes one value or a range LO HI"),
+        ("exact --n 4 --m 1 --q 3 extra", "argument --q: invalid int value: 'extra'"),
         ("game --n 4 --m 1 --q 1 --rule collision --trials 10",
          "error: --rule collision: q must be >= 2 (a single reply has no pairs)"),
     ])
@@ -522,7 +527,7 @@ class TestSeedOption:
 class TestExactCommand:
     def test_values(self, capsys):
         code, out = run_cli(capsys, "exact", "--n", "2", "--m", "1",
-                            "--q-range", "2", "4")
+                            "--q", "2", "4")
         assert code == 0
         rows = parse_csv(out)
         assert [r["advantage_exact"] for r in rows] == ["1/6", "1/4", "5/8"]
@@ -542,11 +547,20 @@ class TestExactCommand:
         assert row["dual_identity_ok"] == ""
 
     def test_sweep_expansion(self, capsys):
-        code, out = run_cli(capsys, "exact", "--n-range", "2", "3",
-                            "--m-range", "0", "2", "--q", "2")
+        code, out = run_cli(capsys, "exact", "--n", "2", "3",
+                            "--m", "0", "2", "--q", "2")
         assert code == 0
         cells = [(r["n"], r["m"]) for r in parse_csv(out)]
         assert cells == [("2", "0"), ("2", "1"), ("3", "0"), ("3", "1"), ("3", "2")]
+
+    def test_ranges_clip_to_valid_cells(self, capsys):
+        # a negative or huge bound clips to 0 <= m < n and 1 <= q <= 2**n
+        code, out = run_cli(capsys, "exact", "--n", "-1", "2", "--m", "-3", "9",
+                            "--q", "0", str(10**12))
+        assert code == 0
+        cells = [(r["n"], r["m"], r["q"]) for r in parse_csv(out)]
+        assert cells == [("1", "0", "1"), ("1", "0", "2")] + [
+            ("2", m, q) for m in "01" for q in "1234"]
 
     @pytest.mark.parametrize("n,m,q,less", [
         (7, 3, 112, 1090592), (7, 3, 120, 1579883), (7, 3, 128, 2239706),
@@ -722,8 +736,8 @@ class TestGameCommand:
     @pytest.mark.parametrize("rule", ["optimal", "optimal-less"])
     def test_rates_of_zero_or_one_stay_within_4se(self, capsys, rule):
         # (3, 0, 7) and (3, 0, 8) sample acceptance rates of exactly 0 or 1
-        code, out = run_cli(capsys, "game", "--n-range", "2", "5", "--m-range", "0", "4",
-                            "--q-range", "2", "10", "--trials", "300", "--seed", "1",
+        code, out = run_cli(capsys, "game", "--n", "2", "5", "--m", "0", "4",
+                            "--q", "2", "10", "--trials", "300", "--seed", "1",
                             "--rule", rule)
         rows = {(r["n"], r["m"], r["q"]): r for r in parse_csv(out)}
         assert code == 0
@@ -788,9 +802,9 @@ class TestGameCommand:
 
 MIXED_SWEEPS = [
     # answered from q = 44 to 60, refused from q = 61
-    ["exact", "--n", "12", "--m", "6", "--q-range", "44", "64"],
+    ["exact", "--n", "12", "--m", "6", "--q", "44", "64"],
     # the exact advantage answered up to q = 60, its ceiling reason from q = 61
-    ["game", "--n", "12", "--m", "6", "--q-range", "56", "64", "--trials", "10"],
+    ["game", "--n", "12", "--m", "6", "--q", "56", "64", "--trials", "10"],
 ]
 
 

@@ -386,6 +386,8 @@ class TestSamplerLimits:
             require_count_rows(Params(30, 10, 2), permutation_arm=True)
 
     def test_reply_values_past_64_bit_draws(self):
-        assert mc_advantage(Params(63, 0, 2), 3, make_rng(0)).trials == 3
+        # two distinct replies of 2**63 have R = 1/(1 - 2**-63) >= 1: every trial scores 0
+        est = mc_advantage(Params(63, 0, 2), 3, make_rng(0))
+        assert (est.mean, est.std_err) == (0.0, 0.0)
         with pytest.raises(SamplerLimitError, match=r"2\*\*64 reply values exceed"):
             mc_advantage(Params(64, 0, 2), 3, make_rng(0))

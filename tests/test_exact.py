@@ -514,8 +514,13 @@ class TestMonteCarlo:
         assert abs(est.mean - exact) < 4 * est.std_err
 
     def test_single_trial_has_no_se(self):
-        est = mc_advantage(Params(3, 1, 3), 1, make_rng(0))
-        assert est.std_err is None and est.trials == 1
+        p = Params(3, 1, 3)
+        est = mc_advantage(p, 1, make_rng(0))
+        # the mean is one transcript's max{1 - R, 0}, over the profiles of 3 replies
+        scores = [max(1 - float(likelihood_ratio(parts, p)), 0.0)
+                  for parts in [(3,), (2, 1), (1, 1, 1)]]
+        assert est.std_err is None
+        assert any(est.mean == pytest.approx(score) for score in scores)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
